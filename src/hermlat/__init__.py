@@ -20,7 +20,6 @@ from .bundles import (
 )
 from .duality import (
     DualityError,
-    DualMinimaReport,
     DualVector,
     IdealLattice,
     TraceDualLattice,
@@ -28,7 +27,6 @@ from .duality import (
     codifferent_covolume,
     codifferent_lattice,
     different_lattice,
-    dual_minima_comparison,
     minkowski_codifferent_bound,
     minkowski_codifferent_vector,
     trace_dual,
@@ -87,6 +85,7 @@ from .slopes import (
 )
 from .transference import (
     BundleChecks,
+    DualMinimaReport,
     TheoremReport,
     bundle_digest,
     check_all,
@@ -94,6 +93,7 @@ from .transference import (
     check_index_comparison,
     check_proof_chain,
     check_sandwich,
+    dual_minima_comparison,
     fuzz,
     random_bundle,
 )

@@ -20,7 +20,6 @@ from .bundles import BundleError, PrecisionError
 from .duality import (
     DualityError,
     codifferent_covolume,
-    dual_minima_comparison,
     minkowski_codifferent_bound,
     minkowski_codifferent_vector,
     trace_module,
@@ -37,6 +36,7 @@ from .transference import (
     check_index_comparison,
     check_proof_chain,
     check_sandwich,
+    dual_minima_comparison,
     fuzz,
 )
 
@@ -169,8 +169,8 @@ def _cmd_minima(args) -> int:
     return EXIT_PASS if profile.certified else EXIT_UNCERTIFIED
 
 
-def _dual_minima_doc(bundle, k, budget) -> tuple[list[str], str]:
-    rep = dual_minima_comparison(bundle, k, budget)
+def _dual_minima_doc(ctx: BundleChecks, k: int) -> tuple[list[str], str]:
+    rep = dual_minima_comparison(ctx, k)
     verdict = "pass" if rep.holds else ("uncertified" if not rep.certified else "fail")
     doc = [
         f"statement: dual-minima[k={k}]",
@@ -210,7 +210,7 @@ def _cmd_check(args) -> int:
         run(check_proof_chain, ks(1, n))
     if statement in ("dual-minima", "all"):
         for k in ks(1, n):
-            doc, verdict = _dual_minima_doc(bundle, k, args.budget)
+            doc, verdict = _dual_minima_doc(ctx, k)
             docs.append(doc)
             verdicts.append(verdict)
 

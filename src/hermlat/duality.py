@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import exactlinalg as xl
-from .bundles import HermitianBundle, PrecisionError, dual_bundle, restrict_scalars
-from .minima import DEFAULT_BUDGET, _candidates, successive_minima
+from .bundles import HermitianBundle, PrecisionError
+from .minima import DEFAULT_BUDGET, BudgetExhausted, _candidates, _reduce, successive_minima
 from .numberfield import FieldElement, NumberField
 
 
@@ -58,11 +59,23 @@ class TraceModule:
         return f"TraceModule(field={self.nf!r})"
 
 
+def _field_memo(nf: NumberField, key: str, build):
+    """``build()``, computed once per field and kept in ``nf.memo``."""
+    if key not in nf.memo:
+        nf.memo[key] = build()
+    return nf.memo[key]
+
+
 def trace_module(nf: NumberField) -> TraceModule:
     """Codifferent basis (trace-dual of the integral basis) plus weights.
 
-    Biorthogonality Tr(b_i * c_j) = delta_ij is verified exactly.
+    Biorthogonality Tr(b_i * c_j) = delta_ij is verified exactly, once per
+    field.
     """
+    return _field_memo(nf, "trace_module", lambda: _build_trace_module(nf))
+
+
+def _build_trace_module(nf: NumberField) -> TraceModule:
     gram = [list(row) for row in nf.trace_gram_matrix]
     try:
         inv = xl.inverse(gram)
@@ -234,11 +247,16 @@ def minkowski_codifferent_vector(
     the weighted-convention covolume above, so Minkowski's first theorem
     guarantees a nonzero vector with sup log-norm at most
     (1/r)log|disc| - (r2/r)log(pi).  Failure to find one inside that radius
-    indicates an implementation bug and raises DualityError.
+    indicates an implementation bug and raises DualityError.  Computed once
+    per field.
     """
+    return _field_memo(nf, "minkowski_vector", lambda: _minkowski_vector(nf, budget))
+
+
+def _minkowski_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
     lat = codifferent_lattice(nf)
     bound = math.exp(minkowski_codifferent_bound(nf))
-    hits, _ = _candidates(lat, "sup", bound, budget)
+    hits, _ = _candidates(lat, "sup", bound, budget, _reduce(lat))
     if not hits:
         raise DualityError(
             "no codifferent vector inside the guaranteed radius; "
@@ -254,25 +272,17 @@ def transfer_vector(nf: NumberField, budget: int = DEFAULT_BUDGET) -> tuple[Fiel
     Returns (y, sup log-norm) where y ranges over the different and the
     norm at embedding s is |sigma(y)| / weight_s.  This is the vector whose
     sup log-norm bounds mu_k(E-dual-bundle) - mu_k(E-trace-dual) from above.
+    Computed once per field; raises BudgetExhausted when the search does
+    not certify within the budget.
     """
-    lat = dual_trace_module_lattice(nf)
-    bound = _min_sup_start(lat)
-    while True:
-        hits, _ = _candidates(lat, "sup", bound, budget)
-        if hits:
-            value, z = hits[0]
-            return lat.element(z), math.log(value)
-        bound *= 2
+    return _field_memo(nf, "transfer_vector", lambda: _transfer_vector(nf, budget))
 
 
-def _min_sup_start(lat: IdealLattice) -> float:
-    r = lat.z_rank
-    best = math.inf
-    for i in range(r):
-        z = np.zeros(r, dtype=np.int64)
-        z[i] = 1
-        best = min(best, float(lat.sigma_norms(z).max()))
-    return best
+def _transfer_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
+    profile = successive_minima(dual_trace_module_lattice(nf), 1, "q-rank", "sup", budget)
+    if not profile.certified:
+        raise BudgetExhausted(f"transfer vector search exceeded budget of {budget} nodes")
+    return profile.witnesses[0], profile.values[0]
 
 
 @dataclass(frozen=True)
@@ -403,12 +413,16 @@ class WeightedDualView:
     def max_f_rank(self):
         return self.base.max_f_rank
 
-    @property
-    def euclid_gram(self):
+    @cached_property
+    def sigma_forms(self):
         w = self.base.trace_mod.metric_weights
+        return tuple((w[s] ** 2) * p for s, p in enumerate(self.base.sigma_forms))
+
+    @cached_property
+    def euclid_gram(self):
         g = np.zeros_like(self.base.euclid_gram)
-        for s, p in enumerate(self.base.sigma_forms):
-            g += (w[s] ** 2) * p
+        for p in self.sigma_forms:
+            g += p
         return (g + g.T) / 2
 
     def sigma_norms(self, z):
@@ -427,11 +441,14 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
     nf = bundle.nf
     n, r = bundle.rank, nf.degree
     zr = n * r
-    primal = restrict_scalars(bundle)
-    # stack the embedding maps into the square change of coordinates
+    # stack the embedding maps of the restricted lattice (block s, row j
+    # holds sigma_s of the integral basis in columns j*r .. j*r+r-1) into
+    # the square change of coordinates
     a = np.zeros((zr, zr), dtype=complex)
     for s in range(r):
-        a[s * n : (s + 1) * n, :] = primal.embedding_maps[s]
+        row = [complex(b.embed(s)) for b in nf.integral_basis]
+        for j in range(n):
+            a[s * n + j, j * r : (j + 1) * r] = row
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -460,51 +477,4 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
         c_blocks=tuple(blocks),
         sigma_forms=tuple(forms),
         euclid_gram=gram,
-    )
-
-
-@dataclass(frozen=True)
-class DualMinimaReport:
-    """The two dual minima and the transfer vector bound, with the verdict."""
-
-    k: int
-    mu_dual_bundle: float  # mu_k of E* via the inverse metric
-    mu_trace_dual: float  # mu_k of E^v through the alpha identification
-    transfer_log_norm: float  # sup log-norm of the transfer vector
-    minkowski_log_norm: float  # sup log-norm of the codifferent Minkowski vector
-    minkowski_bound: float  # (1/r)log|disc| - (r2/r)log(pi)
-    certified: bool
-    holds: bool
-
-
-def dual_minima_comparison(
-    bundle: HermitianBundle, k: int, budget: int = DEFAULT_BUDGET, slack: float = 1e-6
-) -> DualMinimaReport:
-    """Check mu_k(E*) <= mu_k(E^v) + sup log|v| with the transfer vector.
-
-    The left side uses the dual bundle (inverse metrics), the middle the
-    trace-dual lattice with the weighted (alpha) norms and F-independence,
-    and v is the shortest vector of the inverse trace module in the duality
-    metric.  The codifferent Minkowski vector and its guaranteed bound are
-    reported alongside.
-    """
-    if not 1 <= k <= bundle.rank:
-        raise ValueError("k out of range")
-    nf = bundle.nf
-    star = successive_minima(restrict_scalars(dual_bundle(bundle)), k, "f-rank", "sup", budget)
-    dual = successive_minima(trace_dual(bundle).weighted(), k, "f-rank", "sup", budget)
-    _, v_log = transfer_vector(nf, budget)
-    mink_v, mink_log = minkowski_codifferent_vector(nf, budget)
-    certified = star.certified and dual.certified
-    lhs = star.values[k - 1]
-    rhs = dual.values[k - 1] + v_log
-    return DualMinimaReport(
-        k=k,
-        mu_dual_bundle=lhs,
-        mu_trace_dual=dual.values[k - 1],
-        transfer_log_norm=v_log,
-        minkowski_log_norm=mink_log,
-        minkowski_bound=minkowski_codifferent_bound(nf),
-        certified=certified,
-        holds=bool(certified and lhs <= rhs + slack),
     )

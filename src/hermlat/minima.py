@@ -1,8 +1,24 @@
-"""Successive minima of restricted lattices by complete ellipsoid enumeration.
+"""Successive minima of Z-lattices with per-embedding norms, certified in one pass.
 
-The engine enumerates integer vectors inside a Euclidean ellipsoid that
-provably contains every vector of the requested aggregated norm, then picks
-witnesses greedily by nondecreasing norm with exact independence tests.
+The engine never searches for its radius.  For the first ``count`` minima
+it
+
+1. reduces the Euclidean Gram G with LLL (delta = 0.99) to an exact
+   integer unimodular T;
+2. takes a proven radius b from the aggregated norms of the reduced basis
+   vectors T e_i.  In q-rank mode the ``count`` shortest basis vectors are
+   Q-independent, so b is their largest norm.  In f-rank mode any
+   (count-1)*r+1 Q-independent vectors contain ``count`` F-independent
+   ones (count-1 vectors span an F-subspace of Q-dimension at most
+   (count-1)*r), so b is the ((count-1)*r+1)-th smallest basis norm;
+3. enumerates the ellipsoid below containing the norm ball of radius b
+   once, on T^T G T;
+4. maps the candidates back through T, puts their signs in the original
+   coordinates (highest nonzero coordinate positive) and norms them all in
+   one batch;
+5. picks witnesses greedily by nondecreasing (norm, z) with exact
+   independence tests.  Since b bounds the ``count``-th minimum, the greedy
+   scan always completes unless the node budget ran out first.
 
 Containment used by the enumeration (Q is the Euclidean form, the sum of
 the squared embedding norms over all r embeddings):
@@ -14,7 +30,9 @@ the squared embedding norms over all r embeddings):
 
 Both containments are exact inequalities between nonnegative reals, hence
 an enumeration that is complete in the ellipsoid is complete in the norm
-ball, which is what certification rests on.
+ball, which is what certification rests on.  T is unimodular whatever the
+rounding in its Gram-Schmidt data, so the reduced coordinates cover exactly
+the same lattice points; floating point only affects how well reduced T is.
 """
 
 from __future__ import annotations
@@ -32,6 +50,13 @@ from .numberfield import FieldElement
 
 TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
+# The batch norm filter passes vectors up to this relative margin above the
+# bound; the survivors are normed again one at a time and filtered exactly.
+BATCH_MARGIN = 1e-6
+
+LLL_DELTA = 0.99
+# Ends the reduction if rounding makes it cycle; T stays unimodular at any exit.
+_LLL_MAX_SWAPS = 100_000
 
 Mode = Literal["f-rank", "q-rank"]
 Norm = Literal["sup", "sum"]
@@ -114,8 +139,80 @@ def enumerate_ellipsoid(
     return found, nodes
 
 
+def lll_transform(gram: np.ndarray) -> np.ndarray:
+    """Integer unimodular T whose columns are an LLL-reduced basis for ``gram``.
+
+    Cohen's Algorithm 2.6.3 run on the Gram matrix: when the scan reaches
+    basis vector k, its Gram-Schmidt coefficients mu_kj and squared length
+    B_k are computed in floating point from the current Gram row, which
+    every size reduction and swap updates in place.  The basis changes
+    themselves are exact integer column operations, so T is unimodular
+    whatever the rounding.  On return T^T gram T satisfies |mu_kj| <= 1/2
+    and B_k >= (LLL_DELTA - mu_(k,k-1)^2) B_(k-1).
+    """
+    n = gram.shape[0]
+    g = [[float(v) for v in row] for row in gram]  # Gram of the current basis
+    t = [[int(i == j) for j in range(n)] for i in range(n)]  # t[k]: basis vector k
+    mu = [[0.0] * n for _ in range(n)]
+    b = [g[0][0]] + [0.0] * (n - 1)  # squared Gram-Schmidt lengths
+    k, swaps = 1, 0
+    while k < n and swaps < _LLL_MAX_SWAPS:
+        mk, gk = mu[k], g[k]
+        for j in range(k):
+            mj = mu[j]
+            mk[j] = (gk[j] - sum(mj[i] * mk[i] * b[i] for i in range(j))) / b[j]
+        b[k] = gk[k] - sum(mk[j] * mk[j] * b[j] for j in range(k))
+        for l in range(k - 1, -1, -1):
+            q = round(mk[l])
+            if q:
+                _subtract_basis_vector(g, t, k, l, q)
+                ml = mu[l]
+                mk[l] -= q
+                for i in range(l):
+                    mk[i] -= q * ml[i]
+        if b[k] < (LLL_DELTA - mk[k - 1] * mk[k - 1]) * b[k - 1]:
+            t[k - 1], t[k] = t[k], t[k - 1]
+            g[k - 1], g[k] = g[k], g[k - 1]
+            for row in g:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            swaps += 1
+            if k == 1:
+                b[0] = g[0][0]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return np.array(t, dtype=np.int64).T
+
+
+def _subtract_basis_vector(g: list, t: list, k: int, l: int, q: int) -> None:
+    """Basis vector k -= q * basis vector l, in T and in the Gram matrix g."""
+    t[k] = [a - q * c for a, c in zip(t[k], t[l])]
+    gk, gl = g[k], g[l]
+    for j in range(len(gk)):
+        gk[j] -= q * gl[j]
+    gk[k] -= q * gk[l]
+    for j, row in enumerate(g):
+        if j != k:
+            row[k] = gk[j]
+
+
 def _ellipsoid_radius_sq(bound: float, norm: Norm, n_embeddings: int) -> float:
     return n_embeddings * bound * bound if norm == "sup" else bound * bound
+
+
+def _reduce(lattice) -> tuple[np.ndarray, np.ndarray]:
+    """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T."""
+    t = lll_transform(lattice.euclid_gram)
+    gram = t.T @ lattice.euclid_gram @ t
+    return t, (gram + gram.T) / 2
+
+
+def _batch_norms(lattice, xs: np.ndarray, norm: Norm) -> np.ndarray:
+    """Aggregated norms of the rows of xs, all embeddings in one pass."""
+    xs = np.asarray(xs, dtype=float)
+    sq = np.stack([np.einsum("mi,mi->m", xs @ p, xs) for p in lattice.sigma_forms], axis=1)
+    norms = np.sqrt(np.maximum(sq, 0.0))
+    return norms.max(axis=1) if norm == "sup" else norms.sum(axis=1)
 
 
 def enumerate_below(
@@ -130,20 +227,36 @@ def enumerate_below(
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
-    hits = _candidates(lattice, norm, bound, budget)[0]
+    hits = _candidates(lattice, norm, bound, budget, _reduce(lattice))[0]
     return [lattice.to_vector(z) for _, z in hits]
 
 
 def _candidates(
-    lattice, norm: Norm, bound: float, budget: int
+    lattice, norm: Norm, bound: float, budget: int, reduced: tuple[np.ndarray, np.ndarray]
 ) -> tuple[list[tuple[float, tuple[int, ...]]], int]:
-    """Enumerate and norm-filter; returns sorted (norm, z) pairs and node count."""
+    """Enumerate and norm-filter; returns sorted (norm, z) pairs and node count.
+
+    The enumeration runs on the basis T of ``reduced = (T, T^T G T)``; the
+    candidates are mapped back to the lattice's own coordinates and signed
+    there (highest nonzero coordinate positive).  One batched pass over all
+    candidates discards those clearly outside the ball; the few survivors
+    are normed again one at a time by ``sigma_norms``, so reported values,
+    and the tie order among unit multiples of equal norm, do not depend on
+    the batch's rounding.
+    """
     radius_sq = _ellipsoid_radius_sq(bound, norm, lattice.n_embeddings)
-    vectors, nodes = enumerate_ellipsoid(lattice.euclid_gram, radius_sq, budget)
+    t, reduced_gram = reduced
+    ys, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget)
+    if not ys:
+        return [], nodes
+    xs = np.array(ys) @ t.T
+    last = xs.shape[1] - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)
+    xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
+    limit = bound * (1 + TOL)
     hits = []
-    for z in vectors:
+    for z in xs[_batch_norms(lattice, xs, norm) <= limit * (1 + BATCH_MARGIN)]:
         value = aggregate(lattice.sigma_norms(z), norm)
-        if value <= bound * (1 + TOL):
+        if value <= limit:
             hits.append((value, tuple(int(c) for c in z)))
     hits.sort(key=lambda t: (t[0], t[1]))
     return hits, nodes
@@ -203,16 +316,6 @@ def exact_rank(vectors: Sequence[BundleVector], mode: Mode) -> int:
     return count
 
 
-def _initial_bound(lattice, norm: Norm) -> float:
-    n = lattice.z_rank
-    best = math.inf
-    for i in range(n):
-        z = np.zeros(n, dtype=np.int64)
-        z[i] = 1
-        best = min(best, aggregate(lattice.sigma_norms(z), norm))
-    return best
-
-
 def successive_minima(
     lattice: RestrictedLattice,
     count: int,
@@ -222,36 +325,34 @@ def successive_minima(
 ) -> MinimaProfile:
     """First ``count`` successive minima of the lattice under the given norm.
 
-    Enumeration radius doubles until the greedy scan certifies ``count``
-    independent vectors inside a completely enumerated ball.  On budget
-    exhaustion a partial, uncertified profile is returned.
+    Reduces the basis with LLL, takes a radius that the reduced basis
+    proves to hold ``count`` independent vectors (see the module
+    docstring), enumerates that ball once and selects witnesses greedily.
+    On budget exhaustion an empty, uncertified profile reports the nodes
+    visited.
     """
     max_k = lattice.max_f_rank if mode == "f-rank" else lattice.z_rank
     if not 1 <= count <= max_k:
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")
 
-    bound = _initial_bound(lattice, norm)
-    total_nodes = 0
-    best: list[tuple[float, tuple[int, ...]]] = []
-    while True:
-        try:
-            hits, nodes = _candidates(lattice, norm, bound, max(budget - total_nodes, 0))
-        except BudgetExhausted:
-            return _partial_profile(lattice, best, mode, norm, bound, budget)
-        total_nodes += nodes
-        chosen = _greedy_select(lattice, hits, count, mode)
-        if len(chosen) == count and chosen[-1][0] <= bound:
-            return MinimaProfile(
-                values=tuple(math.log(v) for v, _ in chosen),
-                witnesses=tuple(lattice.to_vector(z) for _, z in chosen),
-                mode=mode,
-                norm=norm,
-                radius_used=bound,
-                certified=True,
-                nodes=total_nodes,
-            )
-        best = chosen
-        bound *= 2
+    reduced = _reduce(lattice)
+    basis_norms = np.sort(_batch_norms(lattice, reduced[0].T, norm))
+    index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
+    bound = float(basis_norms[index])
+    try:
+        hits, nodes = _candidates(lattice, norm, bound, budget, reduced)
+    except BudgetExhausted:
+        hits, nodes = [], budget
+    chosen = _greedy_select(lattice, hits, count, mode)
+    return MinimaProfile(
+        values=tuple(math.log(v) for v, _ in chosen),
+        witnesses=tuple(lattice.to_vector(z) for _, z in chosen),
+        mode=mode,
+        norm=norm,
+        radius_used=bound,
+        certified=len(chosen) == count,
+        nodes=nodes,
+    )
 
 
 def _greedy_select(lattice, hits, count: int, mode: Mode):
@@ -268,15 +369,3 @@ def _greedy_select(lattice, hits, count: int, mode: Mode):
             if len(chosen) == count:
                 break
     return chosen
-
-
-def _partial_profile(lattice, chosen, mode, norm, bound, nodes) -> MinimaProfile:
-    return MinimaProfile(
-        values=tuple(math.log(v) for v, _ in chosen),
-        witnesses=tuple(lattice.to_vector(z) for _, z in chosen),
-        mode=mode,
-        norm=norm,
-        radius_used=bound,
-        certified=False,
-        nodes=nodes,
-    )

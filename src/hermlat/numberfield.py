@@ -134,6 +134,9 @@ class NumberField:
     power_basis_order: bool  # True when the order is Z[theta], maximality unverified
     _power_sums: tuple[Fraction, ...] = field(repr=False)
     _reduction_rows: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    # objects that depend only on the field (trace module, transfer vector),
+    # built on first use by hermlat.duality
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction helpers -------------------------------------------------
 

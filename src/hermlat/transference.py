@@ -14,12 +14,18 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .bundles import HermitianBundle, dual_bundle, make_bundle, restrict_scalars
-from .duality import trace_dual, transfer_vector, minkowski_codifferent_bound
+from .duality import (
+    minkowski_codifferent_bound,
+    minkowski_codifferent_vector,
+    trace_dual,
+    transfer_vector,
+)
 from .minima import DEFAULT_BUDGET, MinimaProfile, successive_minima
 from .numberfield import NumberField, duality_gap_constant
 
@@ -78,6 +84,7 @@ def bundle_digest(bundle: HermitianBundle) -> str:
 class BundleChecks:
     """Shared minima profiles for one bundle; lazily computed, memoized.
 
+    The three lattices the profiles run on are built at most once each.
     The bundle and its derived lattices are immutable; the only mutation is
     the internal cache, which is only filled during single-threaded checks.
     """
@@ -88,37 +95,47 @@ class BundleChecks:
         self.budget = budget
         self.digest = bundle_digest(bundle)
         self._profiles: dict[str, MinimaProfile] = {}
-        self._transfer: tuple | None = None
+
+    @cached_property
+    def primal(self):
+        return restrict_scalars(self.bundle)
+
+    @cached_property
+    def star(self):
+        return restrict_scalars(dual_bundle(self.bundle))
+
+    @cached_property
+    def tdual(self):
+        return trace_dual(self.bundle)
 
     # profile keys: primal/star/tdual-plain/tdual-weighted x mode x norm
     def profile(self, key: str) -> MinimaProfile:
         if key not in self._profiles:
             n, r = self.bundle.rank, self.nf.degree
             if key == "mu":  # sup-norm F-independent minima of the bundle
-                lat, count, mode, norm = restrict_scalars(self.bundle), n, "f-rank", "sup"
+                lat, count, mode, norm = self.primal, n, "f-rank", "sup"
             elif key == "mu_star":  # same for the dual bundle
-                lat, count, mode, norm = restrict_scalars(dual_bundle(self.bundle)), n, "f-rank", "sup"
+                lat, count, mode, norm = self.star, n, "f-rank", "sup"
             elif key == "lambda":  # sup-norm Q-independent minima
-                lat, count, mode, norm = restrict_scalars(self.bundle), n * r, "q-rank", "sup"
+                lat, count, mode, norm = self.primal, n * r, "q-rank", "sup"
             elif key == "lambda_vee":  # polar (sum-norm) minima of the trace dual
-                lat, count, mode, norm = trace_dual(self.bundle), n * r, "q-rank", "sum"
+                lat, count, mode, norm = self.tdual, n * r, "q-rank", "sum"
             elif key == "mu_vee":  # alpha-weighted sup minima of the trace dual
-                lat, count, mode, norm = trace_dual(self.bundle).weighted(), n, "f-rank", "sup"
+                lat, count, mode, norm = self.tdual.weighted(), n, "f-rank", "sup"
             else:
                 raise KeyError(key)
             self._profiles[key] = successive_minima(lat, count, mode, norm, self.budget)
         return self._profiles[key]
 
     def transfer(self) -> tuple:
-        if self._transfer is None:
-            self._transfer = transfer_vector(self.nf, self.budget)
-        return self._transfer
+        """The field's transfer vector and its sup log-norm."""
+        return transfer_vector(self.nf, self.budget)
 
 
-def _as_checks(bundle_or_checks) -> BundleChecks:
+def _as_checks(bundle_or_checks, budget: int = DEFAULT_BUDGET) -> BundleChecks:
     if isinstance(bundle_or_checks, BundleChecks):
         return bundle_or_checks
-    return BundleChecks(bundle_or_checks)
+    return BundleChecks(bundle_or_checks, budget)
 
 
 def check_sandwich(bundle_or_checks, k: int, slack: float = SLACK_ANALYTIC) -> TheoremReport:
@@ -282,6 +299,54 @@ def check_proof_chain(bundle_or_checks, k: int) -> TheoremReport:
     )
 
 
+@dataclass(frozen=True)
+class DualMinimaReport:
+    """The two dual minima and the transfer vector bound, with the verdict."""
+
+    k: int
+    mu_dual_bundle: float  # mu_k of E* via the inverse metric
+    mu_trace_dual: float  # mu_k of E^v through the alpha identification
+    transfer_log_norm: float  # sup log-norm of the transfer vector
+    minkowski_log_norm: float  # sup log-norm of the codifferent Minkowski vector
+    minkowski_bound: float  # (1/r)log|disc| - (r2/r)log(pi)
+    certified: bool
+    holds: bool
+
+
+def dual_minima_comparison(
+    bundle_or_checks, k: int, budget: int = DEFAULT_BUDGET, slack: float = SLACK_ANALYTIC
+) -> DualMinimaReport:
+    """Check mu_k(E*) <= mu_k(E^v) + sup log|v| with the transfer vector.
+
+    The left side is the ``mu_star`` profile (dual bundle, inverse
+    metrics), the middle the ``mu_vee`` profile (trace-dual lattice with
+    the weighted alpha norms and F-independence), and v is the field's
+    transfer vector: the shortest vector of the inverse trace module in the
+    duality metric.  The codifferent Minkowski vector and its guaranteed
+    bound are reported alongside.  ``budget`` applies when a bundle, not a
+    BundleChecks, is passed.
+    """
+    ctx = _as_checks(bundle_or_checks, budget)
+    if not 1 <= k <= ctx.bundle.rank:
+        raise ValueError("k out of range")
+    star = ctx.profile("mu_star")
+    dual = ctx.profile("mu_vee")
+    _, v_log = ctx.transfer()
+    _, mink_log = minkowski_codifferent_vector(ctx.nf, ctx.budget)
+    certified = star.certified and dual.certified
+    lhs = _value(star, k - 1)
+    return DualMinimaReport(
+        k=k,
+        mu_dual_bundle=lhs,
+        mu_trace_dual=_value(dual, k - 1),
+        transfer_log_norm=v_log,
+        minkowski_log_norm=mink_log,
+        minkowski_bound=minkowski_codifferent_bound(ctx.nf),
+        certified=certified,
+        holds=bool(certified and lhs <= _value(dual, k - 1) + v_log + slack),
+    )
+
+
 ALL_STATEMENTS = ("sandwich", "polar", "index", "chain")
 
 
@@ -343,11 +408,11 @@ def fuzz(
     """Seeded randomized sweep of all checkers; deterministic for a fixed seed.
 
     Desk-scale guard: rank_max times the largest field degree must not
-    exceed 8 unless allow_large is set.
+    exceed 12 unless allow_large is set.
     """
     max_deg = max(nf.degree for nf in fields)
-    if rank_max * max_deg > 8 and not allow_large:
-        raise ValueError("rank_max * max degree exceeds the desk-scale guard of 8")
+    if rank_max * max_deg > 12 and not allow_large:
+        raise ValueError("rank_max * max degree exceeds the desk-scale guard of 12")
     rng = np.random.default_rng(seed)
     reports: list[TheoremReport] = []
     for trial in range(trials):

@@ -23,7 +23,10 @@ from hermlat import (
     make_bundle,
     restrict_scalars,
     successive_minima,
+    trace_dual,
 )
+from hermlat import exactlinalg as xl
+from hermlat.minima import lll_transform
 
 from conftest import identity_bundle
 
@@ -197,25 +200,105 @@ def oracle_fixture_lattices():
     return cases
 
 
+def skewed_bundle(bundle, rng):
+    """The bundle in the module basis U e_j, for a unimodular integer U with
+    entries up to about 100: its restricted lattice is isometric to the
+    original's, in coordinates far from reduced."""
+    n = bundle.rank
+    lower = np.tril(rng.integers(-9, 10, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(-9, 10, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    u = lower @ upper
+    return make_bundle(bundle.nf, n, [u.T @ h @ u for h in bundle.grams])
+
+
+def assert_matches_oracle(lat, count, mode, norm, oracle_lat=None):
+    """Engine minima and attaining-vector counts on ``lat`` equal the box
+    oracle's on ``oracle_lat`` (an isometric lattice, ``lat`` by default)."""
+    prof = successive_minima(lat, count, mode, norm)
+    assert prof.certified
+    values, counts = box_oracle(oracle_lat or lat, count, mode, norm)
+    assert len(prof.values) == len(values)
+    for a, b in zip(prof.values, values):
+        assert abs(a - b) <= 1e-9
+    # counts of attaining vectors: engine side recomputed via enumerate_below
+    for i, value in enumerate(prof.values):
+        radius = math.exp(value)
+        vectors = enumerate_below(lat, norm, radius * (1 + 1e-10))
+        assert all(_canonical(v.z_coords) == v.z_coords for v in vectors)
+        engine_count = sum(
+            1 for v in vectors if abs(_agg(lat, v.z_coords, norm) - radius) <= 1e-9
+        )
+        assert engine_count == counts[i]
+
+
 @pytest.mark.parametrize("name,bundle", oracle_fixture_lattices())
 @pytest.mark.parametrize("norm", ["sup", "sum"])
 def test_oracle_equivalence(name, bundle, norm):
     lat = restrict_scalars(bundle)
     for mode, count in (("f-rank", bundle.rank), ("q-rank", lat.z_rank)):
-        prof = successive_minima(lat, count, mode, norm)
-        assert prof.certified
-        values, counts = box_oracle(lat, count, mode, norm)
-        for a, b in zip(prof.values, values):
-            assert abs(a - b) <= 1e-9
-        # counts of attaining vectors: engine side recomputed via enumerate_below
-        for i, value in enumerate(prof.values):
-            radius = math.exp(value)
-            engine_count = sum(
-                1
-                for v in enumerate_below(lat, norm, radius * (1 + 1e-10))
-                if abs(_agg(lat, v.z_coords, norm) - radius) <= 1e-9
-            )
-            assert engine_count == counts[i]
+        assert_matches_oracle(lat, count, mode, norm)
+
+
+@pytest.mark.parametrize(
+    "name,bundle", [c for c in oracle_fixture_lattices() if c[1].rank >= 2]
+)
+@pytest.mark.parametrize("norm", ["sup", "sum"])
+def test_oracle_equivalence_skewed(name, bundle, norm):
+    # the oracle's box grows with the skew, so it runs on the isometric
+    # unskewed lattice
+    lat = restrict_scalars(skewed_bundle(bundle, np.random.default_rng(5)))
+    assert not np.array_equal(lll_transform(lat.euclid_gram), np.eye(lat.z_rank))
+    for mode, count in (("f-rank", bundle.rank), ("q-rank", lat.z_rank)):
+        assert_matches_oracle(lat, count, mode, norm, restrict_scalars(bundle))
+
+
+@pytest.mark.parametrize("name,bundle", oracle_fixture_lattices())
+def test_oracle_equivalence_trace_dual(name, bundle):
+    dual = trace_dual(bundle)
+    assert_matches_oracle(dual, dual.z_rank, "q-rank", "sum")
+    assert_matches_oracle(dual.weighted(), bundle.rank, "f-rank", "sup")
+
+
+def lll_test_grams():
+    from hermlat import shipped_field
+    from hermlat.transference import random_bundle
+
+    rng = np.random.default_rng(6)
+    grams = [
+        (name, restrict_scalars(skewed_bundle(b, rng)).euclid_gram)
+        for name, b in oracle_fixture_lattices()
+        if b.rank >= 2
+    ]
+    zeta5 = random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1))
+    grams.append(("zeta5-2-dual", trace_dual(zeta5).euclid_gram))
+    return grams
+
+
+@pytest.mark.parametrize("name,gram", lll_test_grams())
+def test_lll_transform_reduced_and_unimodular(name, gram):
+    t = lll_transform(gram)
+    assert t.dtype.kind == "i"
+    assert not np.array_equal(t, np.eye(len(gram)))
+    assert abs(xl.det(xl.mat(t.tolist()))) == 1
+    # Gram-Schmidt data of T^T G T: mu_kj = R[j, k] / R[j, j], B_k = R[k, k]^2
+    r = np.linalg.cholesky(t.T @ gram @ t).T
+    mu = r / np.diag(r)[:, None]
+    b = np.diag(r) ** 2
+    for k in range(1, len(gram)):
+        assert np.all(np.abs(mu[:k, k]) <= 0.5 + 1e-9)
+        assert b[k] >= (0.99 - mu[k - 1, k] ** 2) * b[k - 1] * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_roadmap_zeta5_bundles_certify(field_zeta5, rank):
+    # the first random_bundle(zeta5, N, default_rng(1)) draws; N*r = 8 and 12
+    from hermlat.transference import BundleChecks, random_bundle
+
+    ctx = BundleChecks(random_bundle(field_zeta5, rank, np.random.default_rng(1)))
+    profiles = {k: ctx.profile(k) for k in ("mu", "mu_star", "lambda", "lambda_vee", "mu_vee")}
+    assert all(p.certified for p in profiles.values())
+    if rank == 2:
+        assert profiles["lambda_vee"].nodes <= 20_000
 
 
 def _agg(lat, z, norm):

@@ -149,7 +149,14 @@ def test_fuzz_all_pass(field_sqrt_minus3):
 
 def test_fuzz_desk_scale_guard(field_zeta5):
     with pytest.raises(ValueError):
-        fuzz([field_zeta5], 3, 1, seed=1)
+        fuzz([field_zeta5], 4, 1, seed=1)  # N*r = 16 > 12
+
+
+def test_fuzz_at_desk_scale_limit(field_qi, field_sqrt2):
+    # rank_max 6 over degree-2 fields (N*r up to 12) needs no allow_large;
+    # seed 5 draws two rank-5 bundles, N*r = 10
+    reports = fuzz([field_qi, field_sqrt2], 6, 4, seed=5)
+    assert reports and all(r.verdict == "pass" for r in reports)
 
 
 def test_zeta5_chain_transfer_radius_gap(field_zeta5):
