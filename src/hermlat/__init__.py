@@ -11,8 +11,8 @@ from .bundles import (
     BundleError,
     BundleVector,
     HermitianBundle,
+    NormedLattice,
     PrecisionError,
-    RestrictedLattice,
     dual_bundle,
     make_bundle,
     restrict_scalars,
@@ -21,7 +21,6 @@ from .bundles import (
 from .duality import (
     DualityError,
     DualVector,
-    IdealLattice,
     TraceDualLattice,
     TraceModule,
     codifferent_covolume,

@@ -5,15 +5,18 @@ with one hermitian positive-definite Gram matrix per complex embedding,
 the family being invariant under complex conjugation.  Restriction of
 scalars turns it into a Z-lattice of rank N*r carrying one norm per
 embedding plus the aggregated Euclidean form Q(x) = sum_sigma |x|_sigma^2
-used as the enumeration ellipsoid.
+used as the enumeration ellipsoid.  ``NormedLattice`` is that lattice type
+for every lattice the minima engine runs on: the restricted bundles here,
+and the trace-dual and ideal lattices of ``hermlat.duality``.
 
 Everything is immutable after construction; concurrent reads are safe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,15 +107,17 @@ class BundleVector:
 
     @property
     def f_coords(self) -> tuple[FieldElement, ...]:
-        nf = self.bundle.nf
-        r = nf.degree
-        out = []
-        for j in range(self.bundle.rank):
-            out.append(nf.from_integral_coords(self.z_coords[j * r : (j + 1) * r]))
-        return tuple(out)
+        return module_coords(self.bundle.nf.integral_basis, self.z_coords)
 
     def __repr__(self):
         return f"BundleVector{self.z_coords}"
+
+
+def module_coords(basis: Sequence[FieldElement], z: Sequence[int]) -> tuple[FieldElement, ...]:
+    """Module coordinates of z: slot j is sum_i z[j*r + i] * basis[i]."""
+    nf = basis[0].nf
+    r = nf.degree
+    return tuple(nf.combine(basis, z[j : j + r]) for j in range(0, len(z), r))
 
 
 def vector_from_f_coords(bundle: HermitianBundle, f_coords: Sequence[FieldElement]) -> BundleVector:
@@ -127,76 +132,86 @@ def vector_from_f_coords(bundle: HermitianBundle, f_coords: Sequence[FieldElemen
     return BundleVector(bundle, tuple(z))
 
 
-@dataclass(frozen=True)
-class RestrictedLattice:
-    """The rank-(N*r) Z-lattice underlying a bundle, with per-embedding norms.
+@dataclass(frozen=True, eq=False)
+class NormedLattice:
+    """A Z-lattice in F^N with one norm per embedding, as the minima engine sees it.
 
     z-coordinates are ordered module-coordinate major: index j*r + i holds
-    the coefficient of (integral basis element i) * (module generator j).
+    the coefficient of ``basis[i]`` in module slot j, where ``basis`` is the
+    integral basis, the codifferent basis or an ideal basis.  ``forms[s]``
+    is the real form with x^T forms[s] x = |x|_s^2, metric weights included;
+    ``euclid_gram`` is their sum.  ``witness`` turns integer coordinates
+    into the vector type callers expect (BundleVector, DualVector or
+    FieldElement).
     """
 
-    bundle: HermitianBundle
-    z_rank: int
-    embedding_maps: tuple[np.ndarray, ...]  # per sigma: N x (N*r) complex
-    sigma_forms: tuple[np.ndarray, ...]  # per sigma: real PSD, x^T P x = |x|_sigma^2
-    euclid_gram: np.ndarray  # sum of sigma_forms, SPD
+    nf: NumberField
+    max_f_rank: int
+    basis: tuple[FieldElement, ...]
+    forms: np.ndarray  # (r, N*r, N*r)
+    euclid_gram: np.ndarray
+    witness: Callable[[tuple[int, ...]], object]
 
     @property
-    def nf(self) -> NumberField:
-        return self.bundle.nf
+    def z_rank(self) -> int:
+        return self.euclid_gram.shape[0]
 
     @property
     def n_embeddings(self) -> int:
-        return self.nf.degree
-
-    @property
-    def max_f_rank(self) -> int:
-        return self.bundle.rank
+        return len(self.forms)
 
     def sigma_norms(self, z: np.ndarray) -> np.ndarray:
         """All embedding norms of an integer coordinate vector."""
         x = np.asarray(z, dtype=float)
-        vals = np.array([x @ p @ x for p in self.sigma_forms])
+        vals = np.array([x @ p @ x for p in self.forms])
         return np.sqrt(np.maximum(vals, 0.0))
 
-    def to_vector(self, z: Sequence[int]) -> BundleVector:
-        return BundleVector(self.bundle, tuple(int(c) for c in z))
+    def batch_norms(self, xs: np.ndarray, norm: str) -> np.ndarray:
+        """Aggregated ("sup" or "sum") norms of the rows of xs, all embeddings in one pass."""
+        xs = np.asarray(xs, dtype=float)
+        sq = np.stack([np.einsum("mi,mi->m", xs @ p, xs) for p in self.forms], axis=1)
+        norms = np.sqrt(np.maximum(sq, 0.0))
+        return norms.max(axis=1) if norm == "sup" else norms.sum(axis=1)
 
     def f_components(self, z: Sequence[int]) -> tuple[FieldElement, ...]:
-        return BundleVector(self.bundle, tuple(int(c) for c in z)).f_coords
+        return module_coords(self.basis, [int(c) for c in z])
+
+    def to_vector(self, z: Sequence[int]):
+        return self.witness(tuple(int(c) for c in z))
+
+    @property
+    def theta_action(self) -> tuple[tuple[int, ...], ...]:
+        """Integer matrix of multiplication by theta on one module slot's coordinates."""
+        return self.nf.theta_action(self.basis)
 
 
-def restrict_scalars(bundle: HermitianBundle) -> RestrictedLattice:
-    """Z-structure of a bundle with per-embedding norm evaluators."""
-    nf = bundle.nf
-    n, r = bundle.rank, nf.degree
-    zr = n * r
-    maps = []
-    forms = []
-    for s in range(r):
-        a = np.zeros((n, zr), dtype=complex)
-        for j in range(n):
-            for i in range(r):
-                a[j, j * r + i] = complex(nf.integral_basis[i].embed(s))
-        maps.append(a)
-        p = a.conj().T @ bundle.grams[s] @ a
-        p = np.real(p + p.conj().T) / 2  # x real => x^T Re(P) x = |x|^2_sigma
-        forms.append(p)
-    gram = np.zeros((zr, zr))
-    for p in forms:
-        gram += p
+def stack_forms(forms: Sequence[np.ndarray], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked forms and their symmetrized sum, checked positive definite."""
+    gram = sum(forms)
     gram = (gram + gram.T) / 2
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise PrecisionError(
-            "euclidean Gram of the restricted lattice is not positive definite; "
+            f"euclidean Gram of the {what} is not positive definite; "
             "retry at higher embedding precision"
         ) from None
-    return RestrictedLattice(
-        bundle=bundle,
-        z_rank=zr,
-        embedding_maps=tuple(maps),
-        sigma_forms=tuple(forms),
-        euclid_gram=gram,
+    return np.stack(forms), gram
+
+
+def restrict_scalars(bundle: HermitianBundle) -> NormedLattice:
+    """The rank-(N*r) Z-lattice underlying a bundle, with per-embedding norms."""
+    nf = bundle.nf
+    n, r = bundle.rank, nf.degree
+    forms = []
+    for s in range(r):
+        a = np.zeros((n, n * r), dtype=complex)
+        for j in range(n):
+            for i in range(r):
+                a[j, j * r + i] = complex(nf.integral_basis[i].embed(s))
+        p = a.conj().T @ bundle.grams[s] @ a
+        forms.append(np.real(p + p.conj().T) / 2)  # x real => x^T Re(P) x = |x|^2_sigma
+    stacked, gram = stack_forms(forms, "restricted lattice")
+    return NormedLattice(
+        nf, n, nf.integral_basis, stacked, gram, functools.partial(BundleVector, bundle)
     )

@@ -21,6 +21,15 @@ Two norm families coexist on the trace-dual lattice E^v = Hom_Z(E, Z):
   mu_k(E*) <= mu_k(E^v) + sup log|v| holds with a transfer vector v from
   the inverse trace module.
 
+Every lattice built here is a ``NormedLattice``.  The trace-dual lattice
+is one in the codifferent basis, with witnesses ``DualVector``; its
+subclass ``TraceDualLattice`` adds the exact pairing checks, and
+``weighted()`` returns the same lattice with forms w_s^2 * P_s.  The
+ideal lattices (the codifferent, the inverse trace module) have rank r,
+one module slot and field elements as witnesses.  What depends on the
+field alone (trace module, transfer and Minkowski vectors) is kept in the
+field's memo.
+
 The covolume convention is fixed so that the closed form
 log|disc| - 2*r2*log(2) holds: covolumes are measured relative to the
 plainly-metrized ring of integers (unit covolume), with the codifferent
@@ -29,16 +38,16 @@ carrying the weighted metric.  See the README derivation note.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import exactlinalg as xl
-from .bundles import HermitianBundle, PrecisionError
+from .bundles import HermitianBundle, NormedLattice, PrecisionError, module_coords, stack_forms
 from .minima import DEFAULT_BUDGET, BudgetExhausted, _candidates, _reduce, successive_minima
 from .numberfield import FieldElement, NumberField
 
@@ -59,20 +68,13 @@ class TraceModule:
         return f"TraceModule(field={self.nf!r})"
 
 
-def _field_memo(nf: NumberField, key: str, build):
-    """``build()``, computed once per field and kept in ``nf.memo``."""
-    if key not in nf.memo:
-        nf.memo[key] = build()
-    return nf.memo[key]
-
-
 def trace_module(nf: NumberField) -> TraceModule:
     """Codifferent basis (trace-dual of the integral basis) plus weights.
 
     Biorthogonality Tr(b_i * c_j) = delta_ij is verified exactly, once per
     field.
     """
-    return _field_memo(nf, "trace_module", lambda: _build_trace_module(nf))
+    return nf.memoized("trace_module", lambda: _build_trace_module(nf))
 
 
 def _build_trace_module(nf: NumberField) -> TraceModule:
@@ -97,66 +99,23 @@ def _build_trace_module(nf: NumberField) -> TraceModule:
     return TraceModule(nf, tuple(basis), weights)
 
 
-@dataclass(frozen=True)
-class IdealLattice:
-    """Rank-r Z-lattice of field elements with per-embedding scaled norms.
-
-    The norm at embedding s of an element v is scale_s * |sigma_s(v)|.
-    Satisfies the lattice protocol of the minima engine.
-    """
-
-    nf: NumberField
-    basis: tuple[FieldElement, ...]
-    sigma_scale: tuple[float, ...]
-    sigma_forms: tuple[np.ndarray, ...]
-    euclid_gram: np.ndarray
-
-    @property
-    def z_rank(self) -> int:
-        return self.nf.degree
-
-    @property
-    def n_embeddings(self) -> int:
-        return self.nf.degree
-
-    @property
-    def max_f_rank(self) -> int:
-        return 1
-
-    def sigma_norms(self, z: np.ndarray) -> np.ndarray:
-        x = np.asarray(z, dtype=float)
-        vals = np.array([x @ p @ x for p in self.sigma_forms])
-        return np.sqrt(np.maximum(vals, 0.0))
-
-    def element(self, z: Sequence[int]) -> FieldElement:
-        acc = self.nf.zero()
-        for c, b in zip(z, self.basis):
-            if c:
-                acc = acc + Fraction(int(c)) * b
-        return acc
-
-    def to_vector(self, z: Sequence[int]):
-        return self.element(z)
-
-    def f_components(self, z: Sequence[int]):
-        return (self.element(z),)
-
-
 def ideal_lattice(
     nf: NumberField, basis: Sequence[FieldElement], sigma_scale: Sequence[float]
-) -> IdealLattice:
+) -> NormedLattice:
+    """The Z-lattice of field elements spanned by ``basis``, normed at
+    embedding s by sigma_scale[s] * |sigma_s(v)|."""
     r = nf.degree
-    rows = [np.array([b.embed(s) for b in basis], dtype=complex) for s in range(r)]
     forms = []
     for s in range(r):
-        m = np.outer(rows[s].conj(), rows[s]) * (sigma_scale[s] ** 2)
+        row = np.array([b.embed(s) for b in basis], dtype=complex)
+        m = np.outer(row.conj(), row) * (sigma_scale[s] ** 2)
         forms.append(np.real(m + m.conj().T) / 2)
-    gram = sum(forms)
-    gram = (gram + gram.T) / 2
-    return IdealLattice(nf, tuple(basis), tuple(float(s) for s in sigma_scale), tuple(forms), gram)
+    stacked, gram = stack_forms(forms, "ideal lattice")
+    basis = tuple(basis)
+    return NormedLattice(nf, 1, basis, stacked, gram, functools.partial(nf.combine, basis))
 
 
-def codifferent_lattice(nf: NumberField) -> IdealLattice:
+def codifferent_lattice(nf: NumberField) -> NormedLattice:
     """The codifferent with the canonical embedding norms |sigma(v)|."""
     tm = trace_module(nf)
     return ideal_lattice(nf, tm.codifferent_basis, [1.0] * nf.degree)
@@ -193,7 +152,7 @@ def different_lattice(nf: NumberField) -> list[FieldElement]:
     return out
 
 
-def dual_trace_module_lattice(nf: NumberField) -> IdealLattice:
+def dual_trace_module_lattice(nf: NumberField) -> NormedLattice:
     """The inverse trace module as a normed lattice: elements y of the
     different, normed by |sigma(y)| / weight_sigma (the metric inverse to
     the trace module's)."""
@@ -250,7 +209,7 @@ def minkowski_codifferent_vector(
     indicates an implementation bug and raises DualityError.  Computed once
     per field.
     """
-    return _field_memo(nf, "minkowski_vector", lambda: _minkowski_vector(nf, budget))
+    return nf.memoized("minkowski_vector", lambda: _minkowski_vector(nf, budget))
 
 
 def _minkowski_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
@@ -263,7 +222,7 @@ def _minkowski_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float
             "this contradicts Minkowski's theorem and signals a bug"
         )
     value, z = hits[0]
-    return lat.element(z), math.log(value)
+    return lat.to_vector(z), math.log(value)
 
 
 def transfer_vector(nf: NumberField, budget: int = DEFAULT_BUDGET) -> tuple[FieldElement, float]:
@@ -275,7 +234,7 @@ def transfer_vector(nf: NumberField, budget: int = DEFAULT_BUDGET) -> tuple[Fiel
     Computed once per field; raises BudgetExhausted when the search does
     not certify within the budget.
     """
-    return _field_memo(nf, "transfer_vector", lambda: _transfer_vector(nf, budget))
+    return nf.memoized("transfer_vector", lambda: _transfer_vector(nf, budget))
 
 
 def _transfer_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
@@ -287,153 +246,59 @@ def _transfer_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]
 
 @dataclass(frozen=True)
 class DualVector:
-    """Vector of the trace-dual lattice: integer dual coords + exact t-vector.
+    """Vector of the trace-dual lattice of ``bundle``: integer dual coords
+    plus its exact codifferent coordinates, one per module slot.
 
     The functional is x -> sum_j Tr(t_j * xi_j(x)) with xi_j the j-th module
-    coordinate of x.
+    coordinate of x and t_j = f_coords[j].
     """
 
+    bundle: HermitianBundle
     z_coords: tuple[int, ...]
-    t_coords: tuple[FieldElement, ...]
+
+    @property
+    def f_coords(self) -> tuple[FieldElement, ...]:
+        return module_coords(trace_module(self.bundle.nf).codifferent_basis, self.z_coords)
+
+    t_coords = f_coords
 
     def __repr__(self):
         return f"DualVector{self.z_coords}"
 
 
-@dataclass(frozen=True)
-class TraceDualLattice:
-    """Hom_Z(E, Z) with per-embedding norms; plain family by default."""
+@dataclass(frozen=True, eq=False)
+class TraceDualLattice(NormedLattice):
+    """Hom_Z(E, Z) with the plain per-embedding norms, in the codifferent basis."""
 
     source: HermitianBundle
-    trace_mod: TraceModule
     dual_grams: tuple[np.ndarray, ...]  # H_sigma^{-1}
-    c_blocks: tuple[np.ndarray, ...]  # sigma-blocks of the inverse embedding stack
-    sigma_forms: tuple[np.ndarray, ...]  # plain real forms
-    euclid_gram: np.ndarray  # plain: inverse of the primal euclidean form
-
-    @property
-    def nf(self) -> NumberField:
-        return self.source.nf
-
-    @property
-    def z_rank(self) -> int:
-        return self.source.rank * self.nf.degree
-
-    @property
-    def n_embeddings(self) -> int:
-        return self.nf.degree
-
-    @property
-    def max_f_rank(self) -> int:
-        return self.source.rank
-
-    def sigma_norms(self, z: np.ndarray) -> np.ndarray:
-        x = np.asarray(z, dtype=float)
-        vals = np.array([x @ p @ x for p in self.sigma_forms])
-        return np.sqrt(np.maximum(vals, 0.0))
 
     def z_dual_basis(self) -> tuple[DualVector, ...]:
         """The dual Z-basis: functional i evaluates to 1 on primal basis
         vector i and to 0 on the others (exact biorthogonality)."""
         zr = self.z_rank
-        out = []
-        for i in range(zr):
-            z = [0] * zr
-            z[i] = 1
-            out.append(self.to_vector(z))
-        return tuple(out)
+        return tuple(self.to_vector([int(i == j) for j in range(zr)]) for i in range(zr))
 
     def pairing(self, u: DualVector, z: Sequence[int]) -> Fraction:
         """Exact evaluation of a dual vector on an integer primal vector."""
-        nf = self.nf
-        r = nf.degree
-        total = Fraction(0)
-        for j in range(self.source.rank):
-            x = nf.zero()
-            for i in range(r):
-                c = int(z[j * r + i])
-                if c:
-                    x = x + Fraction(c) * nf.integral_basis[i]
-            total += (u.t_coords[j] * x).trace()
-        return total
+        xs = module_coords(self.nf.integral_basis, [int(c) for c in z])
+        return sum(((t * x).trace() for t, x in zip(u.t_coords, xs)), Fraction(0))
 
-    def t_vector(self, z: Sequence[int]) -> tuple[FieldElement, ...]:
-        """Exact codifferent coordinates of the functional (per module slot)."""
-        nf = self.nf
-        r = nf.degree
-        out = []
-        for j in range(self.source.rank):
-            t = nf.zero()
-            for i in range(r):
-                c = int(z[j * r + i])
-                if c:
-                    t = t + Fraction(c) * self.trace_mod.codifferent_basis[i]
-            out.append(t)
-        return tuple(out)
-
-    def f_components(self, z: Sequence[int]) -> tuple[FieldElement, ...]:
-        return self.t_vector(z)
-
-    def to_vector(self, z: Sequence[int]) -> DualVector:
-        zz = tuple(int(c) for c in z)
-        return DualVector(zz, self.t_vector(zz))
-
-    def weighted(self) -> "WeightedDualView":
-        return WeightedDualView(self)
+    def weighted(self) -> NormedLattice:
+        """The lattice normed through the alpha identification: plain
+        sigma-norms times the trace-module metric weights."""
+        w = trace_module(self.nf).metric_weights
+        forms = [(w[s] ** 2) * p for s, p in enumerate(self.forms)]
+        stacked, gram = stack_forms(forms, "weighted trace-dual lattice")
+        return NormedLattice(self.nf, self.max_f_rank, self.basis, stacked, gram, self.witness)
 
     def sigma_norm_via_alpha(self, z: Sequence[int], s: int) -> float:
         """Norm of the sigma-component computed through the exact trace
         decomposition: embed the t-vector at sigma and take the dual-metric
         norm of the resulting functional row (bra form: row Hinv row^H).
         Independent of the numeric inversion route in sigma_norms."""
-        row = np.array([t.embed(s) for t in self.t_vector(z)])
+        row = np.array([t.embed(s) for t in self.f_components(z)])
         return float(np.sqrt(max(np.real(row @ self.dual_grams[s] @ row.conj()), 0.0)))
-
-
-@dataclass(frozen=True)
-class WeightedDualView:
-    """The trace-dual lattice normed through the alpha identification:
-    plain sigma-norms times the trace-module metric weights."""
-
-    base: TraceDualLattice
-
-    @property
-    def nf(self):
-        return self.base.nf
-
-    @property
-    def z_rank(self):
-        return self.base.z_rank
-
-    @property
-    def n_embeddings(self):
-        return self.base.n_embeddings
-
-    @property
-    def max_f_rank(self):
-        return self.base.max_f_rank
-
-    @cached_property
-    def sigma_forms(self):
-        w = self.base.trace_mod.metric_weights
-        return tuple((w[s] ** 2) * p for s, p in enumerate(self.base.sigma_forms))
-
-    @cached_property
-    def euclid_gram(self):
-        g = np.zeros_like(self.base.euclid_gram)
-        for p in self.sigma_forms:
-            g += p
-        return (g + g.T) / 2
-
-    def sigma_norms(self, z):
-        w = np.array(self.base.trace_mod.metric_weights)
-        return w * self.base.sigma_norms(z)
-
-    def f_components(self, z):
-        return self.base.f_components(z)
-
-    def to_vector(self, z):
-        return self.base.to_vector(z)
 
 
 def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
@@ -453,7 +318,6 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise PrecisionError("embedding stack is numerically singular") from None
-    blocks = []
     forms = []
     dual_grams = []
     for s in range(r):
@@ -461,20 +325,16 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
         hinv = np.linalg.inv(bundle.grams[s])
         hinv = (hinv + hinv.conj().T) / 2
         m = c @ hinv @ c.conj().T
-        blocks.append(c)
         dual_grams.append(hinv)
         forms.append(np.real(m + m.conj().T) / 2)
-    gram = sum(forms)
-    gram = (gram + gram.T) / 2
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise PrecisionError("dual euclidean Gram lost positive definiteness") from None
+    stacked, gram = stack_forms(forms, "trace-dual lattice")
     return TraceDualLattice(
-        source=bundle,
-        trace_mod=trace_module(nf),
-        dual_grams=tuple(dual_grams),
-        c_blocks=tuple(blocks),
-        sigma_forms=tuple(forms),
+        nf=nf,
+        max_f_rank=n,
+        basis=trace_module(nf).codifferent_basis,
+        forms=stacked,
         euclid_gram=gram,
+        witness=functools.partial(DualVector, bundle),
+        source=bundle,
+        dual_grams=tuple(dual_grams),
     )

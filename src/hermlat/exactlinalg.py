@@ -7,7 +7,6 @@ Fraction arithmetic; no floating point enters any routine in this module.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,30 +85,6 @@ def inverse(a: Matrix) -> Matrix:
 
 def solve(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
     return mat_vec(inverse(a), [Fraction(x) for x in v])
-
-
-def rank(a: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over Q by Gaussian elimination."""
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        for i in range(r + 1, rows):
-            if m[i][col]:
-                factor = m[i][col] / p
-                for c in range(col, cols):
-                    m[i][c] -= factor * m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def is_integral(a: Matrix) -> bool:
@@ -202,10 +177,3 @@ def integral_solution_lattice(p: Sequence[Sequence[int]], q: int) -> Matrix:
         scale = Fraction(q, diag[i])
         basis_cols.append([Fraction(v[r][i]) * scale for r in range(n)])
     return transpose(basis_cols)  # columns are the basis vectors
-
-
-def gcd_list(xs: Sequence[int]) -> int:
-    g = 0
-    for x in xs:
-        g = math.gcd(g, x)
-    return g

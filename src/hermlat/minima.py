@@ -17,8 +17,13 @@ it
    coordinates (highest nonzero coordinate positive) and norms them all in
    one batch;
 5. picks witnesses greedily by nondecreasing (norm, z) with exact
-   independence tests.  Since b bounds the ``count``-th minimum, the greedy
-   scan always completes unless the node budget ran out first.
+   independence tests in one fraction-free integer rank tracker.  In
+   q-rank mode it holds the chosen z.  In f-rank mode it holds each chosen
+   z together with its images under multiplication by theta (an integer
+   matrix on each module slot), so the Q-span it tracks is the F-span of
+   the chosen vectors and rank_F = rank_Q{theta^j v} / r; no field element
+   is touched.  Since b bounds the ``count``-th minimum, the greedy scan
+   always completes unless the node budget ran out first.
 
 Containment used by the enumeration (Q is the Euclidean form, the sum of
 the squared embedding norms over all r embeddings):
@@ -39,14 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
 
-from . import exactlinalg as xl
-from .bundles import BundleVector, RestrictedLattice
-from .numberfield import FieldElement
+from .bundles import BundleVector, NormedLattice
 
 TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
@@ -200,23 +202,15 @@ def _ellipsoid_radius_sq(bound: float, norm: Norm, n_embeddings: int) -> float:
     return n_embeddings * bound * bound if norm == "sup" else bound * bound
 
 
-def _reduce(lattice) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
     """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T."""
     t = lll_transform(lattice.euclid_gram)
     gram = t.T @ lattice.euclid_gram @ t
     return t, (gram + gram.T) / 2
 
 
-def _batch_norms(lattice, xs: np.ndarray, norm: Norm) -> np.ndarray:
-    """Aggregated norms of the rows of xs, all embeddings in one pass."""
-    xs = np.asarray(xs, dtype=float)
-    sq = np.stack([np.einsum("mi,mi->m", xs @ p, xs) for p in lattice.sigma_forms], axis=1)
-    norms = np.sqrt(np.maximum(sq, 0.0))
-    return norms.max(axis=1) if norm == "sup" else norms.sum(axis=1)
-
-
 def enumerate_below(
-    lattice: RestrictedLattice,
+    lattice: NormedLattice,
     norm: Norm,
     bound: float,
     budget: int = DEFAULT_BUDGET,
@@ -232,7 +226,11 @@ def enumerate_below(
 
 
 def _candidates(
-    lattice, norm: Norm, bound: float, budget: int, reduced: tuple[np.ndarray, np.ndarray]
+    lattice: NormedLattice,
+    norm: Norm,
+    bound: float,
+    budget: int,
+    reduced: tuple[np.ndarray, np.ndarray],
 ) -> tuple[list[tuple[float, tuple[int, ...]]], int]:
     """Enumerate and norm-filter; returns sorted (norm, z) pairs and node count.
 
@@ -254,7 +252,7 @@ def _candidates(
     xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
     limit = bound * (1 + TOL)
     hits = []
-    for z in xs[_batch_norms(lattice, xs, norm) <= limit * (1 + BATCH_MARGIN)]:
+    for z in xs[lattice.batch_norms(xs, norm) <= limit * (1 + BATCH_MARGIN)]:
         value = aggregate(lattice.sigma_norms(z), norm)
         if value <= limit:
             hits.append((value, tuple(int(c) for c in z)))
@@ -262,62 +260,88 @@ def _candidates(
     return hits, nodes
 
 
-class _QRankTracker:
-    """Incremental exact rank over Q of integer vectors (row reduction)."""
+class _RankTracker:
+    """Incremental exact rank over Q of integer vectors, fraction-free.
 
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []
+    Stored rows are in echelon form, each with its own pivot column and
+    zeros at the pivots of the rows before it.  With ``action`` (an integer
+    r x r matrix applied to each block of r coordinates), a vector that
+    extends the span is stored together with its images under action^1 ..
+    action^(r-1), so the span held is closed under the action.
+    """
+
+    def __init__(self, action: Sequence[Sequence[int]] | None = None):
+        self.action = action
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
+
+    def _residue(self, v: list[int]) -> list[int]:
+        for pivot, row in self.rows:
+            c = v[pivot]
+            if c:
+                a = row[pivot]
+                v = [a * x - c * y for x, y in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        return v
+
+    def _store(self, v: list[int]) -> bool:
+        v = self._residue(v)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, v))
+        return True
+
+    def _act(self, v: list[int]) -> list[int]:
+        r = len(self.action)
+        out = []
+        for j in range(0, len(v), r):
+            block = v[j : j + r]
+            out.extend(sum(a * x for a, x in zip(row, block)) for row in self.action)
+        return out
 
     def try_extend(self, z: Sequence[int]) -> bool:
-        row = [Fraction(c) for c in z]
-        for basis_row in self.rows:
-            pivot = next(i for i, v in enumerate(basis_row) if v != 0)
-            if row[pivot]:
-                factor = row[pivot] / basis_row[pivot]
-                row = [a - factor * b for a, b in zip(row, basis_row)]
-        if any(row):
-            self.rows.append(row)
-            return True
-        return False
-
-
-class _FRankTracker:
-    """Incremental exact rank over F of module-coordinate vectors."""
-
-    def __init__(self):
-        self.rows: list[list[FieldElement]] = []
-
-    def try_extend(self, f_coords: Sequence[FieldElement]) -> bool:
-        row = list(f_coords)
-        for basis_row in self.rows:
-            pivot = next(i for i, v in enumerate(basis_row) if not v.is_zero())
-            if not row[pivot].is_zero():
-                factor = row[pivot] * basis_row[pivot].inverse()
-                row = [a - factor * b for a, b in zip(row, basis_row)]
-        if any(not v.is_zero() for v in row):
-            self.rows.append(row)
-            return True
-        return False
+        """Whether z extends the span; if so it is added (with its images)."""
+        v = [int(c) for c in z]
+        if not self._store(v):
+            return False
+        if self.action is not None:
+            for _ in range(len(self.action) - 1):
+                v = self._act(v)
+                self._store(v)
+        return True
 
 
 def exact_rank(vectors: Sequence[BundleVector], mode: Mode) -> int:
-    """Exact rank of a family of lattice vectors, over Q or over F."""
+    """Exact rank of a family of lattice vectors, over Q or over F.
+
+    Q-rank is taken on the integer coordinates.  F-rank is taken on the
+    power-basis coordinates of the module coordinates ``f_coords``, each
+    vector's denominators cleared, with theta acting by the companion
+    matrix of the defining polynomial.
+    """
     if not vectors:
         return 0
     if any(v.bundle is not vectors[0].bundle for v in vectors[1:]):
         raise ValueError("vectors must come from one lattice")
     if mode == "q-rank":
-        return xl.rank([list(v.z_coords) for v in vectors])
-    tracker = _FRankTracker()
+        tracker = _RankTracker()
+        return sum(tracker.try_extend(v.z_coords) for v in vectors)
+    nf = vectors[0].bundle.nf
+    r = nf.degree
+    power_basis = [nf.element([int(i == j) for j in range(r)]) for i in range(r)]
+    tracker = _RankTracker(nf.theta_action(power_basis))
     count = 0
     for v in vectors:
-        if tracker.try_extend(v.f_coords):
-            count += 1
+        coords = [c for x in v.f_coords for c in x.coords]
+        d = math.lcm(*(c.denominator for c in coords))
+        count += tracker.try_extend([int(c * d) for c in coords])
     return count
 
 
 def successive_minima(
-    lattice: RestrictedLattice,
+    lattice: NormedLattice,
     count: int,
     mode: Mode = "f-rank",
     norm: Norm = "sup",
@@ -336,7 +360,7 @@ def successive_minima(
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")
 
     reduced = _reduce(lattice)
-    basis_norms = np.sort(_batch_norms(lattice, reduced[0].T, norm))
+    basis_norms = np.sort(lattice.batch_norms(reduced[0].T, norm))
     index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
     bound = float(basis_norms[index])
     try:
@@ -355,16 +379,11 @@ def successive_minima(
     )
 
 
-def _greedy_select(lattice, hits, count: int, mode: Mode):
-    tracker = _FRankTracker() if mode == "f-rank" else _QRankTracker()
+def _greedy_select(lattice: NormedLattice, hits, count: int, mode: Mode):
+    tracker = _RankTracker(lattice.theta_action if mode == "f-rank" else None)
     chosen = []
     for value, z in hits:
-        extended = (
-            tracker.try_extend(lattice.f_components(z))
-            if mode == "f-rank"
-            else tracker.try_extend(z)
-        )
-        if extended:
+        if tracker.try_extend(z):
             chosen.append((value, z))
             if len(chosen) == count:
                 break

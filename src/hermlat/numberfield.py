@@ -13,6 +13,7 @@ safe for unrestricted concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -134,8 +135,7 @@ class NumberField:
     power_basis_order: bool  # True when the order is Z[theta], maximality unverified
     _power_sums: tuple[Fraction, ...] = field(repr=False)
     _reduction_rows: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    # objects that depend only on the field (trace module, transfer vector),
-    # built on first use by hermlat.duality
+    # objects that depend only on the field, built on first use by ``memoized``
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction helpers -------------------------------------------------
@@ -163,14 +163,40 @@ class NumberField:
     def r2(self) -> int:
         return self.signature[1]
 
+    def memoized(self, key, build):
+        """``build()``, computed once per field and kept in ``memo`` under ``key``."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def combine(self, basis: Sequence[FieldElement], coords: Sequence) -> FieldElement:
+        """The element sum_i coords[i] * basis[i], exactly."""
+        acc = self.zero()
+        for c, b in zip(coords, basis):
+            if c:
+                acc = acc + Fraction(c) * b
+        return acc
+
     def from_integral_coords(self, coords: Sequence) -> FieldElement:
         """Element with the given exact coordinates in the integral basis."""
-        cs = [Fraction(c) for c in coords]
-        acc = self.zero()
-        for c, b in zip(cs, self.integral_basis):
-            if c:
-                acc = acc + c * b
-        return acc
+        return self.combine(self.integral_basis, coords)
+
+    def theta_action(self, basis: Sequence[FieldElement]) -> tuple[tuple[int, ...], ...]:
+        """Multiplication by theta in coordinates over ``basis``, as an integer matrix.
+
+        The matrix is d * B^-1 C B, where the columns of B are the power-basis
+        coordinates of ``basis``, C is the companion matrix of the defining
+        polynomial and d is the least positive integer that makes it integral.
+        The scale d leaves the Q-span of the images unchanged.  Computed once
+        per basis.
+        """
+        return self.memoized(("theta_action", tuple(basis)), lambda: self._theta_action(basis))
+
+    def _theta_action(self, basis: Sequence[FieldElement]) -> tuple[tuple[int, ...], ...]:
+        b = xl.transpose([list(x.coords) for x in basis])
+        m = xl.mat_mul(xl.inverse(b), xl.mat_mul(self._mul_matrix(self.theta()), b))
+        d = math.lcm(*(x.denominator for row in m for x in row))
+        return tuple(tuple(int(x * d) for x in row) for row in m)
 
     def to_integral_coords(self, x: FieldElement) -> list[Fraction]:
         return xl.mat_vec([list(r) for r in self.basis_matrix_inv], list(x.coords))
@@ -437,8 +463,6 @@ def trace_gram(nf: NumberField) -> list[list[Fraction]]:
 
 def duality_gap_constant(n: int, nf: NumberField) -> float:
     """Duality-gap constant: (1/r)log|disc| + (3/2)log N + (5/2)log r - (r2/r)log pi."""
-    import math
-
     if n < 1:
         raise ValueError("rank must be at least 1")
     r = nf.degree

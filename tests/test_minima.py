@@ -18,12 +18,14 @@ import sympy
 from hermlat import (
     BudgetExhausted,
     BundleVector,
+    build_field,
     enumerate_below,
     exact_rank,
     make_bundle,
     restrict_scalars,
     successive_minima,
     trace_dual,
+    vector_from_f_coords,
 )
 from hermlat import exactlinalg as xl
 from hermlat.minima import lll_transform
@@ -168,12 +170,36 @@ def test_exact_rank_examples(field_q, field_qi):
     assert exact_rank([one, i_vec], "f-rank") == 1
 
 
-def test_exact_rank_bound(field_sqrt2):
+def eisenstein_field():
+    """x^2 + 3 with the supplied basis {1, (1 + theta)/2}: the only test field
+    whose integral basis is not the power basis."""
+    return build_field([3, 0, 1], integral_basis=[[1, 0], ["1/2", "1/2"]])
+
+
+def test_exact_rank_bound(field_sqrt2, all_fields):
     rng = np.random.default_rng(3)
     b = identity_bundle(field_sqrt2, rank=2)
     for _ in range(20):
         vs = [BundleVector(b, tuple(rng.integers(-5, 5, 4))) for _ in range(3)]
         assert exact_rank(vs, "f-rank") <= 2
+    # against the sympy oracle, on random and on deliberately F-dependent
+    # families {v, theta*v + w, w}
+    for nf in [*all_fields.values(), eisenstein_field()]:
+        bundle = identity_bundle(nf, rank=2)
+        lat = restrict_scalars(bundle)
+        theta = nf.theta()
+        for _ in range(8):
+            v, w, u = (
+                BundleVector(bundle, tuple(int(c) for c in rng.integers(-3, 4, lat.z_rank)))
+                for _ in range(3)
+            )
+            tvw = vector_from_f_coords(
+                bundle, [theta * x + y for x, y in zip(v.f_coords, w.f_coords)]
+            )
+            for family in ([v, w, u], [v, tvw, w], [tvw, v], [v, v, u], [u, w, tvw, v]):
+                zs = [x.z_coords for x in family]
+                assert exact_rank(family, "q-rank") == _sympy_q_rank(zs)
+                assert exact_rank(family, "f-rank") == _sympy_f_rank(lat, zs)
 
 
 # -- oracle equivalence -------------------------------------------------------
@@ -197,6 +223,8 @@ def oracle_fixture_lattices():
         ("gauss2", random_bundle(qi, 2, rng)),
         ("q3", random_bundle(q, 3, rng)),
     ]
+    eis = eisenstein_field()
+    cases += [("eis1", random_bundle(eis, 1, rng)), ("eis2", random_bundle(eis, 2, rng))]
     return cases
 
 
@@ -264,10 +292,12 @@ def lll_test_grams():
     from hermlat.transference import random_bundle
 
     rng = np.random.default_rng(6)
+    # shipped fields only: the reduction sees nothing but the Gram, and the
+    # parameter ids stay those of the original cases
     grams = [
         (name, restrict_scalars(skewed_bundle(b, rng)).euclid_gram)
         for name, b in oracle_fixture_lattices()
-        if b.rank >= 2
+        if b.rank >= 2 and b.nf.power_basis_order
     ]
     zeta5 = random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1))
     grams.append(("zeta5-2-dual", trace_dual(zeta5).euclid_gram))
@@ -299,6 +329,22 @@ def test_roadmap_zeta5_bundles_certify(field_zeta5, rank):
     assert all(p.certified for p in profiles.values())
     if rank == 2:
         assert profiles["lambda_vee"].nodes <= 20_000
+
+
+@pytest.mark.parametrize(
+    "name,rank",
+    [("gaussian", 2), ("sqrt2", 2), ("sqrt_minus3", 2), ("q", 3), ("zeta5", 1), ("eis", 2)],
+)
+def test_profile_witnesses_have_full_exact_rank(name, rank):
+    from hermlat import shipped_field
+    from hermlat.transference import BundleChecks, random_bundle
+
+    nf = eisenstein_field() if name == "eis" else shipped_field(name)
+    ctx = BundleChecks(random_bundle(nf, rank, np.random.default_rng(8)))
+    for key in ("mu", "mu_star", "lambda", "lambda_vee", "mu_vee"):
+        p = ctx.profile(key)
+        assert p.certified
+        assert exact_rank(p.witnesses, p.mode) == len(p.witnesses)
 
 
 def _agg(lat, z, norm):

@@ -148,3 +148,12 @@ def test_duality_gap_constant_strictly_increasing(n):
 def test_mixed_field_arithmetic_rejected(field_q, field_qi):
     with pytest.raises(FieldError):
         field_q.one() + field_qi.one()
+
+
+def test_theta_action_supplied_basis():
+    # theta = sqrt(-3), w = (1 + theta)/2: theta*1 = -1 + 2w, theta*w = -2 + w
+    nf = build_field([3, 0, 1], integral_basis=[[1, 0], ["1/2", "1/2"]])
+    assert nf.theta_action(nf.integral_basis) == ((-1, -2), (2, 1))
+    # over {1/2, theta/4}: theta/2 = 2*(theta/4), -3/4 = -(3/2)*(1/2); scaled by 2
+    basis = [nf.element(["1/2", 0]), nf.element([0, "1/4"])]
+    assert nf.theta_action(basis) == ((0, -3), (4, 0))
