@@ -9,13 +9,14 @@ used as the enumeration ellipsoid.  ``NormedLattice`` is that lattice type
 for every lattice the minima engine runs on: the restricted bundles here,
 and the trace-dual and ideal lattices of ``hermlat.duality``.
 
-Everything is immutable after construction; concurrent reads are safe.
+Everything is immutable after construction, apart from a lattice's memo of
+deterministic derived data; concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,6 +152,16 @@ class NormedLattice:
     forms: np.ndarray  # (r, N*r, N*r)
     euclid_gram: np.ndarray
     witness: Callable[[tuple[int, ...]], object]
+    # what the minima engine derives from the forms alone (the reduced
+    # basis, the searched balls), built on first use by ``memoized``;
+    # lattices with equal forms may share one
+    memo: dict = field(default_factory=dict, kw_only=True, repr=False, compare=False)
+
+    def memoized(self, key, build):
+        """``build()``, computed once per memo and kept in ``memo`` under ``key``."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     @property
     def z_rank(self) -> int:

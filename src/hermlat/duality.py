@@ -48,7 +48,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .bundles import HermitianBundle, NormedLattice, PrecisionError, module_coords, stack_forms
-from .minima import DEFAULT_BUDGET, BudgetExhausted, _candidates, _reduce, successive_minima
+from .minima import DEFAULT_BUDGET, BudgetExhausted, _candidates, successive_minima
 from .numberfield import FieldElement, NumberField
 
 
@@ -215,7 +215,7 @@ def minkowski_codifferent_vector(
 def _minkowski_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
     lat = codifferent_lattice(nf)
     bound = math.exp(minkowski_codifferent_bound(nf))
-    hits, _ = _candidates(lat, "sup", bound, budget, _reduce(lat))
+    hits, _ = _candidates(lat, "sup", bound, budget)
     if not hits:
         raise DualityError(
             "no codifferent vector inside the guaranteed radius; "

@@ -12,7 +12,15 @@ it
    ones (count-1 vectors span an F-subspace of Q-dimension at most
    (count-1)*r), so b is the ((count-1)*r+1)-th smallest basis norm;
 3. enumerates the ellipsoid below containing the norm ball of radius b
-   once, on T^T G T;
+   once, on T^T G T.  The kernel is a level-synchronous Fincke-Pohst
+   search: it fixes the coordinates from the last down, expanding a whole
+   frontier of partial vectors per level with numpy, and counts each
+   frontier's children against the node budget before building them.
+   Frontiers are cut into chunks of at most ``_FRONTIER_ROWS`` rows and
+   expanded depth first, so memory is bounded whatever the budget.  The
+   reduction and the norm-filtered candidates of step 4 are memoized on
+   the lattice, so ``mu`` and ``lambda`` share one search when they ask
+   for the same ball;
 4. maps the candidates back through T, puts their signs in the original
    coordinates (highest nonzero coordinate positive) and norms them all in
    one batch;
@@ -59,6 +67,11 @@ BATCH_MARGIN = 1e-6
 LLL_DELTA = 0.99
 # Ends the reduction if rounding makes it cycle; T stays unimodular at any exit.
 _LLL_MAX_SWAPS = 100_000
+# Most partial vectors one enumeration frontier holds.  The search keeps at
+# most one frontier per level, so they take at most n * (2n+1) * 8 *
+# _FRONTIER_ROWS bytes (2.5 MB at n = 12) whatever the budget; larger
+# frontiers do not speed it up.
+_FRONTIER_ROWS = 1 << 10
 
 Mode = Literal["f-rank", "q-rank"]
 Norm = Literal["sup", "sum"]
@@ -92,53 +105,96 @@ def aggregate(norms: np.ndarray, norm: Norm) -> float:
 
 def enumerate_ellipsoid(
     gram: np.ndarray, radius_sq: float, budget: int
-) -> tuple[list[np.ndarray], int]:
+) -> tuple[np.ndarray, int]:
     """All nonzero integer x with x^T gram x <= radius_sq, up to sign.
 
     Sign convention: the highest-index nonzero coordinate is positive.
-    Returns (vectors, nodes).  Raises BudgetExhausted when the node count
-    exceeds the budget.
+    Returns (vectors, nodes), vectors an (m, n) int64 array in no
+    particular order.  A node is one value tried for one coordinate.
+    Raises BudgetExhausted when the node count exceeds the budget.
+
+    The coordinates are fixed from the last down, a frontier of partial
+    vectors at a time (``_Frontier``).  Frontiers hold at most
+    ``_FRONTIER_ROWS`` rows and are expanded depth first, so memory does
+    not grow with the budget; each frontier's children are counted against
+    the budget before any of them is built.
     """
     n = gram.shape[0]
-    l = np.linalg.cholesky(gram)
-    r = l.T  # upper triangular, Q(x) = |r @ x|^2
+    r = np.linalg.cholesky(gram).T  # upper triangular, Q(x) = |r @ x|^2
     bound = radius_sq * (1 + 1e-12) + 1e-12
+    if bound < 0:
+        return np.zeros((0, n), dtype=np.int64), 0
 
-    x = np.zeros(n, dtype=np.int64)
-    found: list[np.ndarray] = []
-    nodes = 0
-
-    def rec(level: int, partial: float, centers_done: np.ndarray) -> None:
-        nonlocal nodes
-        # centers_done[j] = sum_{k>level} r[j,k] x_k   for j <= level
-        c = -centers_done[level] / r[level, level]
-        room = bound - partial
-        if room < 0:
-            return
-        half = math.sqrt(room) / r[level, level]
-        lo = math.ceil(c - half - 1e-12)
-        hi = math.floor(c + half + 1e-12)
-        higher_all_zero = not np.any(x[level + 1 :])
-        if higher_all_zero:
-            lo = max(lo, 0)
-        for xi in range(lo, hi + 1):
-            nodes += 1
+    found = []
+    with np.errstate(invalid="ignore"):  # sqrt of a negative room: no children
+        stack = [_Frontier(r, bound, n - 1, np.zeros((1, 2 * n + 1)), True)]
+        nodes = stack[0].size
+        while stack:
             if nodes > budget:
                 raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
-            x[level] = xi
-            step = r[level, level] * (xi - c)
-            new_partial = partial + step * step
-            if new_partial > bound:
+            top = stack[-1]
+            if top.done == top.size:
+                stack.pop()
                 continue
-            if level == 0:
-                if xi != 0 or not higher_all_zero:
-                    found.append(x.copy())
+            zero_first = top.zero_first and top.done == 0
+            rows = top.expand(r, _FRONTIER_ROWS)
+            if top.level > 0:
+                stack.append(_Frontier(r, bound, top.level - 1, rows, zero_first))
+                nodes += stack[-1].size
             else:
-                rec(level - 1, new_partial, centers_done + r[:, level] * xi)
-        x[level] = 0
+                rows = rows[int(zero_first) :]  # drop x = 0, row 0 when zero_first
+                found.append(rows[rows[:, -1] <= bound, n : 2 * n].astype(np.int64))
+    # the all-zero prefix always reaches level 0, so ``found`` is not empty
+    return np.concatenate(found), nodes
 
-    rec(n - 1, 0.0, np.zeros(n))
-    return found, nodes
+
+class _Frontier:
+    """Partial vectors whose coordinates above ``level`` are fixed.
+
+    Row i of ``rows`` holds, in floats, its centres ``sum_{k > level}
+    r[j, k] x_k`` in column j <= level, its coordinates x_j in column n + j,
+    and its partial sum of |r x|^2 over the fixed levels in the last column.
+    Its children are the integers of [lo_i, hi_i], the values the remaining
+    room leaves for coordinate ``level``; ``size`` counts the children of
+    all rows and ``done`` those that ``expand`` has produced so far.  A row
+    whose partial sum exceeds the bound (negative room, nan interval) has
+    no children.  When ``zero_first``, row 0 is the all-zero prefix: its
+    interval is clamped at 0 (the sign convention), so its first child,
+    x_level = 0, is the next level's all-zero prefix and comes first among
+    the children.  The float expressions are those of a recursive
+    Fincke-Pohst search, term for term, so the intervals and the node count
+    match it exactly.
+    """
+
+    __slots__ = ("level", "rows", "zero_first", "c", "ends", "offset", "size", "done")
+
+    def __init__(self, r, bound, level, rows, zero_first):
+        r_ll = r[level, level]
+        c = -rows[:, level] / r_ll
+        half = np.sqrt(bound - rows[:, -1]) / r_ll
+        lo = np.ceil(c - half - 1e-12)
+        if zero_first:
+            lo[0] = max(lo[0], 0.0)
+        counts = np.fmax(np.floor(c + half + 1e-12) - lo + 1, 0)  # nan -> 0
+        self.ends = counts.cumsum()
+        self.offset = lo - (self.ends - counts)  # child k of row i takes x_level = offset_i + k
+        self.level, self.rows, self.zero_first, self.c = level, rows, zero_first, c
+        self.size = int(self.ends[-1])
+        self.done = 0
+
+    def expand(self, r, limit):
+        """The next ``limit`` children (fewer at the end), as rows."""
+        level, start = self.level, self.done
+        self.done = min(start + limit, self.size)
+        child = np.arange(start, self.done, dtype=float)
+        parent = self.ends.searchsorted(child, side="right")
+        xi = self.offset[parent] + child
+        step = r[level, level] * (xi - self.c[parent])
+        rows = self.rows[parent]
+        rows[:, -1] += step * step
+        rows[:, :level] += r[:level, level] * xi[:, None]
+        rows[:, len(r) + level] = xi
+        return rows
 
 
 def lll_transform(gram: np.ndarray) -> np.ndarray:
@@ -203,10 +259,15 @@ def _ellipsoid_radius_sq(bound: float, norm: Norm, n_embeddings: int) -> float:
 
 
 def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
-    """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T."""
-    t = lll_transform(lattice.euclid_gram)
-    gram = t.T @ lattice.euclid_gram @ t
-    return t, (gram + gram.T) / 2
+    """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T,
+    memoized on the lattice."""
+
+    def build():
+        t = lll_transform(lattice.euclid_gram)
+        gram = t.T @ lattice.euclid_gram @ t
+        return t, (gram + gram.T) / 2
+
+    return lattice.memoized("reduced", build)
 
 
 def enumerate_below(
@@ -221,33 +282,47 @@ def enumerate_below(
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
-    hits = _candidates(lattice, norm, bound, budget, _reduce(lattice))[0]
+    hits = _candidates(lattice, norm, bound, budget)[0]
     return [lattice.to_vector(z) for _, z in hits]
 
 
 def _candidates(
-    lattice: NormedLattice,
-    norm: Norm,
-    bound: float,
-    budget: int,
-    reduced: tuple[np.ndarray, np.ndarray],
+    lattice: NormedLattice, norm: Norm, bound: float, budget: int
 ) -> tuple[list[tuple[float, tuple[int, ...]]], int]:
-    """Enumerate and norm-filter; returns sorted (norm, z) pairs and node count.
+    """Sorted (norm, z) pairs of the ball of radius ``bound``, and the node count.
 
-    The enumeration runs on the basis T of ``reduced = (T, T^T G T)``; the
-    candidates are mapped back to the lattice's own coordinates and signed
-    there (highest nonzero coordinate positive).  One batched pass over all
-    candidates discards those clearly outside the ball; the few survivors
-    are normed again one at a time by ``sigma_norms``, so reported values,
-    and the tie order among unit multiples of equal norm, do not depend on
-    the batch's rounding.
+    Memoized on the lattice under (norm, bound, budget), an exhausted
+    budget included: ``mu`` and ``lambda`` often ask for the same ball, and
+    so, on lattices sharing one memo, do the dual-bundle and trace-dual
+    profiles over Q.
+    """
+    norm_key = norm if lattice.n_embeddings > 1 else "sup"  # one embedding: sup = sum
+    found = lattice.memoized(
+        ("candidates", norm_key, bound, budget), lambda: _search(lattice, norm, bound, budget)
+    )
+    if found is None:
+        raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
+    return found
+
+
+def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
+    """Enumerate and norm-filter for ``_candidates``; None if the budget runs out.
+
+    The enumeration runs on the reduced basis T; the candidates are mapped
+    back to the lattice's own coordinates and signed there (highest nonzero
+    coordinate positive).  One batched pass over all candidates discards
+    those clearly outside the ball; the few survivors are normed again one
+    at a time by ``sigma_norms``, so reported values, and the tie order
+    among unit multiples of equal norm, do not depend on the batch's
+    rounding.
     """
     radius_sq = _ellipsoid_radius_sq(bound, norm, lattice.n_embeddings)
-    t, reduced_gram = reduced
-    ys, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget)
-    if not ys:
-        return [], nodes
-    xs = np.array(ys) @ t.T
+    t, reduced_gram = _reduce(lattice)
+    try:
+        ys, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget)
+    except BudgetExhausted:
+        return None
+    xs = ys @ t.T
     last = xs.shape[1] - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)
     xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
     limit = bound * (1 + TOL)
@@ -359,12 +434,11 @@ def successive_minima(
     if not 1 <= count <= max_k:
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")
 
-    reduced = _reduce(lattice)
-    basis_norms = np.sort(lattice.batch_norms(reduced[0].T, norm))
+    basis_norms = np.sort(lattice.batch_norms(_reduce(lattice)[0].T, norm))
     index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
     bound = float(basis_norms[index])
     try:
-        hits, nodes = _candidates(lattice, norm, bound, budget, reduced)
+        hits, nodes = _candidates(lattice, norm, bound, budget)
     except BudgetExhausted:
         hits, nodes = [], budget
     chosen = _greedy_select(lattice, hits, count, mode)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .bundles import HermitianBundle, dual_bundle, make_bundle, restrict_scalars
+from .bundles import HermitianBundle, NormedLattice, dual_bundle, make_bundle, restrict_scalars
 from .duality import (
     minkowski_codifferent_bound,
     minkowski_codifferent_vector,
@@ -84,9 +84,11 @@ def bundle_digest(bundle: HermitianBundle) -> str:
 class BundleChecks:
     """Shared minima profiles for one bundle; lazily computed, memoized.
 
-    The three lattices the profiles run on are built at most once each.
-    The bundle and its derived lattices are immutable; the only mutation is
-    the internal cache, which is only filled during single-threaded checks.
+    The lattices the profiles run on are built at most once each, and those
+    with equal forms share one memo of reductions and searched balls.  The
+    bundle and its derived lattices are immutable; the only mutations are
+    the internal cache and the lattice memos, which are only filled during
+    single-threaded checks.
     """
 
     def __init__(self, bundle: HermitianBundle, budget: int = DEFAULT_BUDGET):
@@ -95,18 +97,29 @@ class BundleChecks:
         self.budget = budget
         self.digest = bundle_digest(bundle)
         self._profiles: dict[str, MinimaProfile] = {}
+        self._lattices: list[NormedLattice] = []
+
+    def _shared(self, lattice: NormedLattice) -> NormedLattice:
+        """The lattice, with the memo of an earlier lattice of this context
+        that has the same forms: over Q the dual bundle and the trace dual
+        coincide, so their minima profiles search the same balls."""
+        for other in self._lattices:
+            if np.array_equal(other.forms, lattice.forms):
+                return replace(lattice, memo=other.memo)
+        self._lattices.append(lattice)
+        return lattice
 
     @cached_property
     def primal(self):
-        return restrict_scalars(self.bundle)
+        return self._shared(restrict_scalars(self.bundle))
 
     @cached_property
     def star(self):
-        return restrict_scalars(dual_bundle(self.bundle))
+        return self._shared(restrict_scalars(dual_bundle(self.bundle)))
 
     @cached_property
     def tdual(self):
-        return trace_dual(self.bundle)
+        return self._shared(trace_dual(self.bundle))
 
     # profile keys: primal/star/tdual-plain/tdual-weighted x mode x norm
     def profile(self, key: str) -> MinimaProfile:
@@ -121,7 +134,7 @@ class BundleChecks:
             elif key == "lambda_vee":  # polar (sum-norm) minima of the trace dual
                 lat, count, mode, norm = self.tdual, n * r, "q-rank", "sum"
             elif key == "mu_vee":  # alpha-weighted sup minima of the trace dual
-                lat, count, mode, norm = self.tdual.weighted(), n, "f-rank", "sup"
+                lat, count, mode, norm = self._shared(self.tdual.weighted()), n, "f-rank", "sup"
             else:
                 raise KeyError(key)
             self._profiles[key] = successive_minima(lat, count, mode, norm, self.budget)

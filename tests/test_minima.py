@@ -8,6 +8,7 @@ via the classical expansion rank_F {v_i} = rank_Q {theta^j v_i} / r -- so
 no code path is shared with the enumeration engine it checks.
 """
 
+import gc
 import itertools
 import math
 
@@ -16,6 +17,7 @@ import pytest
 import sympy
 
 from hermlat import (
+    DEFAULT_BUDGET,
     BudgetExhausted,
     BundleVector,
     build_field,
@@ -28,7 +30,8 @@ from hermlat import (
     vector_from_f_coords,
 )
 from hermlat import exactlinalg as xl
-from hermlat.minima import lll_transform
+from hermlat import minima
+from hermlat.minima import enumerate_ellipsoid, lll_transform
 
 from conftest import identity_bundle
 
@@ -329,6 +332,8 @@ def test_roadmap_zeta5_bundles_certify(field_zeta5, rank):
     assert all(p.certified for p in profiles.values())
     if rank == 2:
         assert profiles["lambda_vee"].nodes <= 20_000
+    # exact counts, those of the recursive Fincke-Pohst search the kernel replaced
+    assert profiles["lambda_vee"].nodes == {2: 10_624, 3: 233_232}[rank]
 
 
 @pytest.mark.parametrize(
@@ -422,6 +427,110 @@ def test_k_out_of_range(field_q):
         successive_minima(lat, 3, "f-rank", "sup")
     with pytest.raises(ValueError):
         successive_minima(lat, 0, "f-rank", "sup")
+
+
+# -- enumeration kernel ---------------------------------------------------------
+
+
+def _box_ellipsoid(gram, radius_sq):
+    """Nonzero integer x with x^T gram x <= radius_sq up to sign, by box search
+    in exact integer arithmetic (gram is an integer matrix)."""
+    ginv = np.linalg.inv(gram)
+    box = [int(math.isqrt(int(radius_sq * ginv[i, i] * (1 + 1e-9)))) + 1 for i in range(len(gram))]
+    axes = np.meshgrid(*(np.arange(-b, b + 1) for b in box), indexing="ij")
+    points = np.stack(axes, axis=-1).reshape(-1, len(gram))
+    inside = points[np.einsum("mi,ij,mj->m", points, gram, points) <= radius_sq]
+    return {_canonical(tuple(int(c) for c in x)) for x in inside if any(x)}
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for _ in range(3):
+            a = rng.integers(-3, 4, (n, n))
+            gram = a.T @ a + n * np.eye(n, dtype=np.int64)
+            on_vector = rng.integers(-1, 2, n)
+            on_vector[-1] = 1
+            # a radius exactly on a lattice vector's norm, and one between norms
+            for radius_sq in (int(on_vector @ gram @ on_vector), 2.5 * int(gram.diagonal().max())):
+                yield gram, radius_sq
+
+
+def test_enumerate_ellipsoid_matches_box():
+    for gram, radius_sq in _kernel_cases():
+        vectors, nodes = enumerate_ellipsoid(gram.astype(float), radius_sq, DEFAULT_BUDGET)
+        assert vectors.dtype == np.int64 and vectors.shape[1] == len(gram)
+        found = [tuple(int(c) for c in x) for x in vectors]
+        # the sign convention: the highest nonzero coordinate is positive
+        assert all(_canonical(x) == x and any(x) for x in found)
+        assert len(set(found)) == len(found)
+        assert set(found) == _box_ellipsoid(gram, radius_sq)
+        # the budget boundary: nodes suffice, one fewer does not
+        assert enumerate_ellipsoid(gram.astype(float), radius_sq, nodes)[1] == nodes
+        with pytest.raises(BudgetExhausted):
+            enumerate_ellipsoid(gram.astype(float), radius_sq, nodes - 1)
+    # x = 2 lies in the widened interval but outside the ellipsoid: a node, not a vector
+    vectors, nodes = enumerate_ellipsoid(np.eye(1), 4 - 7e-12, DEFAULT_BUDGET)
+    assert vectors.tolist() == [[1]] and nodes == 3
+
+
+def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
+    # a reduced dimension-8 Gram whose frontiers hold hundreds of rows
+    from hermlat import shipped_field
+    from hermlat.transference import random_bundle
+
+    gram = trace_dual(random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1))).euclid_gram
+    t = lll_transform(gram)
+    gram = t.T @ gram @ t
+    gram = (gram + gram.T) / 2
+    radius_sq = 2 * gram.diagonal().max()
+    vectors, nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET)
+    assert nodes > 1000
+    for rows in (1, 3):
+        monkeypatch.setattr(minima, "_FRONTIER_ROWS", rows)
+        chunked, chunked_nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET)
+        assert chunked_nodes == nodes
+        assert sorted(map(tuple, chunked.tolist())) == sorted(map(tuple, vectors.tolist()))
+        with pytest.raises(BudgetExhausted):
+            enumerate_ellipsoid(gram, radius_sq, nodes - 1)
+
+
+def test_enumerate_ellipsoid_leaves_no_garbage():
+    gram = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    enumerate_ellipsoid(gram, 6.0, DEFAULT_BUDGET)  # first call: lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_ellipsoid(gram, 6.0, DEFAULT_BUDGET)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_each_ball_enumerated_once(monkeypatch, field_q):
+    from hermlat.transference import BundleChecks, random_bundle
+
+    calls = []
+
+    def counted(name):
+        original = getattr(minima, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("enumerate_ellipsoid", "lll_transform"):
+        monkeypatch.setattr(minima, name, counted(name))
+    ctx = BundleChecks(random_bundle(field_q, 2, np.random.default_rng(4)))
+    profiles = {k: ctx.profile(k) for k in ("mu", "mu_star", "lambda", "lambda_vee", "mu_vee")}
+    # over Q, mu and lambda search one ball of the primal lattice; the dual
+    # bundle and the (weighted) trace dual have equal forms, and mu_star,
+    # lambda_vee and mu_vee search one ball of them
+    assert sorted(calls) == ["enumerate_ellipsoid"] * 2 + ["lll_transform"] * 2
+    assert profiles["mu"].nodes == profiles["lambda"].nodes
+    assert profiles["mu_star"].nodes == profiles["lambda_vee"].nodes == profiles["mu_vee"].nodes
 
 
 def test_enumerate_budget_raises(field_q):
