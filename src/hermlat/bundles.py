@@ -43,11 +43,6 @@ class HermitianBundle:
     rank: int
     grams: tuple[np.ndarray, ...]  # indexed by embedding, each N x N complex
 
-    def norm_sigma(self, v: np.ndarray, sigma: int) -> float:
-        """Norm of a fiber coordinate vector v in E_sigma."""
-        h = self.grams[sigma]
-        return float(np.sqrt(max(np.real(np.conj(v) @ h @ v), 0.0)))
-
     def scaled(self, factor: float) -> "HermitianBundle":
         """Bundle with every Gram multiplied by factor (norms scale by sqrt)."""
         return HermitianBundle(self.nf, self.rank, tuple(factor * h for h in self.grams))

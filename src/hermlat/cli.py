@@ -30,15 +30,7 @@ from .heights import height_limit, height_lower_bounds, height_upper_bounds
 from .minima import DEFAULT_BUDGET, BudgetExhausted, successive_minima
 from .numberfield import DEFAULT_PREC_BITS, FieldError, duality_gap_constant, trace_gram
 from .reports import fmt, fmt_vec, render_documents, render_header, render_report
-from .transference import (
-    BundleChecks,
-    check_polar_transference,
-    check_index_comparison,
-    check_proof_chain,
-    check_sandwich,
-    dual_minima_comparison,
-    fuzz,
-)
+from .transference import STATEMENTS, BundleChecks, DualMinimaReport, dual_minima_comparison, fuzz
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -76,7 +68,7 @@ def _build_parser() -> _Parser:
     common(sp, "bundle fixture path")
     sp.add_argument(
         "--statement",
-        choices=["sandwich", "polar", "index", "chain", "dual-minima", "all"],
+        choices=[*STATEMENTS, "dual-minima", "all"],
         default="all",
     )
     sp.add_argument("--k", type=int, default=None, help="single index; default sweeps all valid k")
@@ -169,56 +161,42 @@ def _cmd_minima(args) -> int:
     return EXIT_PASS if profile.certified else EXIT_UNCERTIFIED
 
 
-def _dual_minima_doc(ctx: BundleChecks, k: int) -> tuple[list[str], str]:
-    rep = dual_minima_comparison(ctx, k)
-    verdict = "pass" if rep.holds else ("uncertified" if not rep.certified else "fail")
-    doc = [
-        f"statement: dual-minima[k={k}]",
+def _dual_minima_doc(rep: DualMinimaReport) -> list[str]:
+    return [
+        f"statement: dual-minima[k={rep.k}]",
         f"mu_dual_bundle: {fmt(rep.mu_dual_bundle)}",
         f"mu_trace_dual: {fmt(rep.mu_trace_dual)}",
         f"transfer_log_norm: {fmt(rep.transfer_log_norm)}",
         f"minkowski_log_norm: {fmt(rep.minkowski_log_norm)}",
         f"minkowski_bound: {fmt(rep.minkowski_bound)}",
-        f"verdict: {verdict}",
+        f"verdict: {rep.verdict}",
     ]
-    return doc, verdict
 
 
 def _cmd_check(args) -> int:
     bundle = load_bundle(args.fixture, args.precision)
     n, r = bundle.rank, bundle.nf.degree
     ctx = BundleChecks(bundle, args.budget)
-    docs = []
-    verdicts = []
-
-    def run(fn, ks, **kw):
-        for k in ks:
-            rep = fn(ctx, k, **kw) if kw else fn(ctx, k)
-            docs.append(render_report(rep))
-            verdicts.append(rep.verdict)
-
-    ks = lambda lo, hi: [args.k] if args.k is not None else list(range(lo, hi + 1))
-    slack = {} if args.slack is None else {"slack": args.slack}
-    statement = args.statement
-    if statement in ("sandwich", "all"):
-        run(check_sandwich, ks(1, n), **slack)
-    if statement in ("polar", "all"):
-        run(check_polar_transference, ks(1, n * r), **slack)
-    if statement in ("index", "all"):
-        run(check_index_comparison, ks(0, n - 1), **slack)
-    if statement in ("chain", "all"):
-        run(check_proof_chain, ks(1, n))
-    if statement in ("dual-minima", "all"):
-        for k in ks(1, n):
-            doc, verdict = _dual_minima_doc(ctx, k)
-            docs.append(doc)
-            verdicts.append(verdict)
+    reports = []
+    for name, (check, indices) in STATEMENTS.items():
+        if args.statement in (name, "all"):
+            # --slack overrides a declared slack; the chain's links keep their own
+            kw = {} if args.slack is None or name == "chain" else {"slack": args.slack}
+            ks = indices(n, r) if args.k is None else [args.k]
+            reports += [check(ctx, k, **kw) for k in ks]
+    docs = [render_report(rep) for rep in reports]
+    if args.statement in ("dual-minima", "all"):
+        # indexed like the sandwich, by the minima mu_k of the bundle
+        ks = STATEMENTS["sandwich"][1](n, r) if args.k is None else [args.k]
+        duals = [dual_minima_comparison(ctx, k) for k in ks]
+        reports += duals
+        docs += [_dual_minima_doc(rep) for rep in duals]
 
     header = render_header(
         "check",
         [
             ("fixture", str(args.fixture)),
-            ("statement", statement),
+            ("statement", args.statement),
             ("k", "all" if args.k is None else str(args.k)),
             ("slack", "default" if args.slack is None else fmt(args.slack)),
             ("budget", str(args.budget)),
@@ -226,9 +204,10 @@ def _cmd_check(args) -> int:
         ],
     )
     _emit(render_documents(header, docs), args.out)
-    if any(v == "fail" for v in verdicts):
+    verdicts = {rep.verdict for rep in reports}
+    if "fail" in verdicts:
         return EXIT_FAIL
-    if any(v == "uncertified" for v in verdicts):
+    if "uncertified" in verdicts:
         return EXIT_UNCERTIFIED
     return EXIT_PASS
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .bundles import HermitianBundle, NormedLattice, PrecisionError, module_coords, stack_forms
-from .minima import DEFAULT_BUDGET, BudgetExhausted, _candidates, successive_minima
+from .minima import DEFAULT_BUDGET, TOL, BudgetExhausted, successive_minima
 from .numberfield import FieldElement, NumberField
 
 
@@ -205,24 +205,23 @@ def minkowski_codifferent_vector(
     The covolume of the codifferent in the canonical embedding is at most
     the weighted-convention covolume above, so Minkowski's first theorem
     guarantees a nonzero vector with sup log-norm at most
-    (1/r)log|disc| - (r2/r)log(pi).  Failure to find one inside that radius
-    indicates an implementation bug and raises DualityError.  Computed once
-    per field.
+    (1/r)log|disc| - (r2/r)log(pi).  The search runs at the radius the
+    reduced basis proves, and its result is then checked against that bound:
+    a shortest vector outside it indicates an implementation bug and raises
+    DualityError.  Computed once per field.
     """
     return nf.memoized("minkowski_vector", lambda: _minkowski_vector(nf, budget))
 
 
 def _minkowski_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
-    lat = codifferent_lattice(nf)
-    bound = math.exp(minkowski_codifferent_bound(nf))
-    hits, _ = _candidates(lat, "sup", bound, budget)
-    if not hits:
+    bound = minkowski_codifferent_bound(nf)
+    v, log_norm = _shortest_vector(codifferent_lattice(nf), budget, "enumeration")
+    if log_norm > bound + math.log1p(TOL):
         raise DualityError(
             "no codifferent vector inside the guaranteed radius; "
             "this contradicts Minkowski's theorem and signals a bug"
         )
-    value, z = hits[0]
-    return lat.to_vector(z), math.log(value)
+    return v, log_norm
 
 
 def transfer_vector(nf: NumberField, budget: int = DEFAULT_BUDGET) -> tuple[FieldElement, float]:
@@ -234,13 +233,18 @@ def transfer_vector(nf: NumberField, budget: int = DEFAULT_BUDGET) -> tuple[Fiel
     Computed once per field; raises BudgetExhausted when the search does
     not certify within the budget.
     """
-    return nf.memoized("transfer_vector", lambda: _transfer_vector(nf, budget))
+    return nf.memoized(
+        "transfer_vector",
+        lambda: _shortest_vector(dual_trace_module_lattice(nf), budget, "transfer vector search"),
+    )
 
 
-def _transfer_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
-    profile = successive_minima(dual_trace_module_lattice(nf), 1, "q-rank", "sup", budget)
+def _shortest_vector(lattice: NormedLattice, budget: int, search: str) -> tuple[FieldElement, float]:
+    """Shortest nonzero sup-norm vector and its log-norm, from one search at the
+    radius the reduced basis proves; BudgetExhausted names the ``search``."""
+    profile = successive_minima(lattice, 1, "q-rank", "sup", budget)
     if not profile.certified:
-        raise BudgetExhausted(f"transfer vector search exceeded budget of {budget} nodes")
+        raise BudgetExhausted(f"{search} exceeded budget of {budget} nodes")
     return profile.witnesses[0], profile.values[0]
 
 

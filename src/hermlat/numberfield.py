@@ -134,7 +134,7 @@ class NumberField:
     prec_bits: int
     power_basis_order: bool  # True when the order is Z[theta], maximality unverified
     _power_sums: tuple[Fraction, ...] = field(repr=False)
-    _reduction_rows: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    _embeddings_mp: tuple = field(repr=False)
     # objects that depend only on the field, built on first use by ``memoized``
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -211,14 +211,13 @@ class NumberField:
                 for j, bj in enumerate(b.coords):
                     if bj:
                         prod[i + j] += ai * bj
-        out = list(prod[:r])
-        for k in range(r, 2 * r - 1):
+        # theta^k = -theta^(k-r) * (a_0 + ... + a_(r-1) theta^(r-1)), top degree first
+        for k in range(2 * r - 2, r - 1, -1):
             ck = prod[k]
             if ck:
-                red = self._reduction_rows[k - r]
-                for j in range(r):
-                    out[j] += ck * red[j]
-        return FieldElement(self, tuple(out))
+                for j, aj in enumerate(self.defining_poly[:r]):
+                    prod[k - r + j] -= ck * aj
+        return FieldElement(self, tuple(prod[:r]))
 
     def _mul_matrix(self, a: FieldElement) -> xl.Matrix:
         """Matrix of multiplication by ``a`` in the power basis."""
@@ -253,21 +252,6 @@ def _power_sums(coeffs: Sequence[int], upto: int) -> list[Fraction]:
                 s -= a[r - i] * p[k - i]
         p.append(s)
     return p
-
-
-def _reduction_rows(coeffs: Sequence[int], r: int) -> list[list[Fraction]]:
-    """Power-basis coordinates of theta^k for k = r .. 2r-2."""
-    rows = []
-    prev = [Fraction(-c) for c in coeffs[:r]]  # theta^r = -(a_0 + ... + a_{r-1} theta^{r-1})
-    rows.append(prev)
-    for _ in range(r + 1, 2 * r - 1):
-        shifted = [Fraction(0)] + prev[:-1]
-        top = prev[-1]
-        if top:
-            shifted = [s + top * (-Fraction(c)) for s, c in zip(shifted, coeffs[:r])]
-        rows.append(shifted)
-        prev = shifted
-    return rows
 
 
 def _compute_embeddings(coeffs: Sequence[int], prec_bits: int):
@@ -371,39 +355,18 @@ def build_field(
         raise FieldError("defining polynomial is reducible over Q")
 
     power_sums = tuple(_power_sums(coeffs, max(2 * r - 2, 1)))
-    reduction = tuple(tuple(row) for row in _reduction_rows(coeffs, r)) if r > 1 else ()
 
     embeddings, embeddings_mp, conj_index, signature = _compute_embeddings(coeffs, prec_bits)
     if signature[0] + 2 * signature[1] != r:
         raise FieldError("signature does not match the degree")
 
-    # bootstrap a field with the power basis so elements can be formed
-    proto = NumberField(
-        defining_poly=tuple(coeffs),
-        degree=r,
-        integral_basis=(),
-        basis_matrix=(),
-        basis_matrix_inv=(),
-        trace_gram_matrix=(),
-        discriminant=0,
-        signature=signature,
-        embeddings=embeddings,
-        conj_index=conj_index,
-        prec_bits=prec_bits,
-        power_basis_order=integral_basis is None,
-        _power_sums=power_sums,
-        _reduction_rows=reduction,
-    )
-    object.__setattr__(proto, "_embeddings_mp", embeddings_mp)
-
     if integral_basis is None:
-        basis_cols = xl.identity(r)
         basis_rows = xl.identity(r)
     else:
         basis_rows = [[Fraction(c) for c in row] for row in integral_basis]
         if len(basis_rows) != r or any(len(row) != r for row in basis_rows):
             raise FieldError("integral basis must be an r x r matrix")
-        basis_cols = xl.transpose(basis_rows)
+    basis_cols = xl.transpose(basis_rows)
 
     try:
         basis_cols_inv = xl.inverse(basis_cols)
@@ -415,14 +378,9 @@ def build_field(
     if integral_basis is not None and not xl.is_integral(basis_cols_inv):
         raise FieldError("supplied basis does not contain Z[theta]")
 
-    basis_elements = tuple(FieldElement(proto, tuple(row)) for row in basis_rows)
-
-    gram = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            tij = (basis_elements[i] * basis_elements[j]).trace()
-            gram[i][j] = tij
-            gram[j][i] = tij
+    # trace form B^T H B, where H_ij = Tr(theta^(i+j)) = p_(i+j) on the power basis
+    hankel = [[power_sums[i + j] for j in range(r)] for i in range(r)]
+    gram = xl.mat_mul(xl.mat_mul(basis_rows, hankel), basis_cols)
     if integral_basis is not None and not all(
         x.denominator == 1 for row in gram for x in row
     ):
@@ -437,7 +395,7 @@ def build_field(
     nf = NumberField(
         defining_poly=tuple(coeffs),
         degree=r,
-        integral_basis=basis_elements,
+        integral_basis=(),
         basis_matrix=tuple(tuple(row) for row in basis_cols),
         basis_matrix_inv=tuple(tuple(row) for row in basis_cols_inv),
         trace_gram_matrix=tuple(tuple(row) for row in gram),
@@ -448,11 +406,10 @@ def build_field(
         prec_bits=prec_bits,
         power_basis_order=integral_basis is None,
         _power_sums=power_sums,
-        _reduction_rows=reduction,
+        _embeddings_mp=tuple(embeddings_mp),
     )
-    object.__setattr__(nf, "_embeddings_mp", embeddings_mp)
-    # re-home the basis elements on the final field object
-    object.__setattr__(nf, "integral_basis", tuple(FieldElement(nf, b.coords) for b in basis_elements))
+    # the basis elements refer to the field, so they are set once it exists
+    object.__setattr__(nf, "integral_basis", tuple(FieldElement(nf, tuple(row)) for row in basis_rows))
     return nf
 
 

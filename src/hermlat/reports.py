@@ -29,9 +29,9 @@ def render_header(command: str, config: Sequence[tuple[str, str]]) -> list[str]:
     return lines
 
 
-def render_report(rep: TheoremReport, include_context: bool = True) -> list[str]:
+def render_report(rep: TheoremReport) -> list[str]:
     lines = [f"statement: {rep.statement}", f"digest: {rep.digest}"]
-    if include_context and rep.context:
+    if rep.context:
         lines.extend(f"{k}: {v}" for k, v in rep.context if k != "gram_dump")
     for name, value in rep.quantities:
         lines.append(f"{name}: {fmt(value)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -72,6 +72,16 @@ def _witness(profile: MinimaProfile, idx: int) -> tuple[int, ...]:
     return profile.witnesses[idx].z_coords if idx < len(profile.witnesses) else ()
 
 
+# profile key -> (BundleChecks lattice attribute, mode, norm), over the lattice's full rank
+PROFILES = {
+    "mu": ("primal", "f-rank", "sup"),  # sup-norm F-independent minima of the bundle
+    "mu_star": ("star", "f-rank", "sup"),  # same for the dual bundle
+    "lambda": ("primal", "q-rank", "sup"),  # sup-norm Q-independent minima
+    "lambda_vee": ("tdual", "q-rank", "sum"),  # polar (sum-norm) minima of the trace dual
+    "mu_vee": ("weighted", "f-rank", "sup"),  # alpha-weighted sup minima of the trace dual
+}
+
+
 def bundle_digest(bundle: HermitianBundle) -> str:
     h = hashlib.sha256()
     h.update(repr(bundle.nf.defining_poly).encode())
@@ -121,22 +131,16 @@ class BundleChecks:
     def tdual(self):
         return self._shared(trace_dual(self.bundle))
 
-    # profile keys: primal/star/tdual-plain/tdual-weighted x mode x norm
+    @cached_property
+    def weighted(self):
+        return self._shared(self.tdual.weighted())
+
     def profile(self, key: str) -> MinimaProfile:
+        """The minima profile named ``key`` in ``PROFILES``, computed once."""
         if key not in self._profiles:
-            n, r = self.bundle.rank, self.nf.degree
-            if key == "mu":  # sup-norm F-independent minima of the bundle
-                lat, count, mode, norm = self.primal, n, "f-rank", "sup"
-            elif key == "mu_star":  # same for the dual bundle
-                lat, count, mode, norm = self.star, n, "f-rank", "sup"
-            elif key == "lambda":  # sup-norm Q-independent minima
-                lat, count, mode, norm = self.primal, n * r, "q-rank", "sup"
-            elif key == "lambda_vee":  # polar (sum-norm) minima of the trace dual
-                lat, count, mode, norm = self.tdual, n * r, "q-rank", "sum"
-            elif key == "mu_vee":  # alpha-weighted sup minima of the trace dual
-                lat, count, mode, norm = self._shared(self.tdual.weighted()), n, "f-rank", "sup"
-            else:
-                raise KeyError(key)
+            attr, mode, norm = PROFILES[key]
+            lat = getattr(self, attr)
+            count = lat.max_f_rank if mode == "f-rank" else lat.z_rank
             self._profiles[key] = successive_minima(lat, count, mode, norm, self.budget)
         return self._profiles[key]
 
@@ -325,6 +329,10 @@ class DualMinimaReport:
     certified: bool
     holds: bool
 
+    @property
+    def verdict(self) -> str:
+        return _verdict(self.certified, self.holds)
+
 
 def dual_minima_comparison(
     bundle_or_checks, k: int, budget: int = DEFAULT_BUDGET, slack: float = SLACK_ANALYTIC
@@ -360,23 +368,20 @@ def dual_minima_comparison(
     )
 
 
-ALL_STATEMENTS = ("sandwich", "polar", "index", "chain")
+# statement -> (checker, its valid indices k for a rank-N bundle over a degree-r field)
+STATEMENTS = {
+    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1)),
+    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1)),
+    "index": (check_index_comparison, lambda n, r: range(0, n)),
+    "chain": (check_proof_chain, lambda n, r: range(1, n + 1)),
+}
 
 
 def check_all(bundle: HermitianBundle, budget: int = DEFAULT_BUDGET) -> list[TheoremReport]:
-    """Run every checker at every valid index for one bundle."""
+    """Run every checker of ``STATEMENTS`` at every valid index for one bundle."""
     ctx = BundleChecks(bundle, budget)
     n, r = bundle.rank, bundle.nf.degree
-    reports = []
-    for k in range(1, n + 1):
-        reports.append(check_sandwich(ctx, k))
-    for k in range(1, n * r + 1):
-        reports.append(check_polar_transference(ctx, k))
-    for k in range(0, n):
-        reports.append(check_index_comparison(ctx, k))
-    for k in range(1, n + 1):
-        reports.append(check_proof_chain(ctx, k))
-    return reports
+    return [check(ctx, k) for check, indices in STATEMENTS.values() for k in indices(n, r)]
 
 
 def random_bundle(nf: NumberField, rank: int, rng: np.random.Generator,
@@ -439,19 +444,7 @@ def fuzz(
             ("rank", str(rank)),
             ("gram_dump", _gram_dump(bundle)),
         )
-        for rep in check_all(bundle, budget):
-            reports.append(
-                TheoremReport(
-                    statement=rep.statement,
-                    digest=rep.digest,
-                    quantities=rep.quantities,
-                    slack=rep.slack,
-                    verdict=rep.verdict,
-                    witnesses=rep.witnesses,
-                    links=rep.links,
-                    context=trial_context,
-                )
-            )
+        reports.extend(replace(rep, context=trial_context) for rep in check_all(bundle, budget))
     return reports
 
 

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from hermlat.cli import main
+from hermlat.fixtures import load_bundle
+from hermlat.reports import render_report
+from hermlat.transference import STATEMENTS, check_all
 
 from conftest import FIXDIR
 
@@ -168,3 +171,21 @@ def test_dual_minima_statement():
     assert code == 0
     assert "statement: dual-minima[k=1]" in out
     assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("k", [None, 1])
+@pytest.mark.parametrize("name", list(STATEMENTS))
+def test_check_statement_renders_check_all(name, k):
+    # the CLI sweep reads STATEMENTS, as check_all does: same reports, same order
+    fixture = FIXDIR / "bundle_gaussian_rank2_seed42.json"
+    expected = [
+        "\n".join(render_report(rep))
+        for rep in check_all(load_bundle(fixture))
+        if rep.statement.partition("[")[0] == name
+        and (k is None or rep.statement == f"{name}[k={k}]")
+    ]
+    argv = ["check", "--fixture", str(fixture), "--statement", name]
+    code, out, err = run_cli(argv if k is None else argv + ["--k", str(k)])
+    assert code == 0, err
+    assert out.rstrip("\n").split("\n\n")[1:] == expected
+    assert expected and (k is None or len(expected) == 1)
