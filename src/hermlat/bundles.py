@@ -4,10 +4,10 @@ A bundle is a free rank-N module over the ring of integers of F together
 with one hermitian positive-definite Gram matrix per complex embedding,
 the family being invariant under complex conjugation.  Restriction of
 scalars turns it into a Z-lattice of rank N*r carrying one norm per
-embedding plus the aggregated Euclidean form Q(x) = sum_sigma |x|_sigma^2
-used as the enumeration ellipsoid.  ``NormedLattice`` is that lattice type
-for every lattice the minima engine runs on: the restricted bundles here,
-and the trace-dual and ideal lattices of ``hermlat.duality``.
+embedding plus the aggregated Euclidean form Q(x) = sum_sigma |x|_sigma^2.
+``NormedLattice`` is that lattice type for every lattice the minima engine
+runs on: the restricted bundles here, and the trace-dual and ideal
+lattices of ``hermlat.duality``.
 
 Everything is immutable after construction, apart from a lattice's memo of
 deterministic derived data; concurrent reads are safe.
@@ -191,8 +191,23 @@ class NormedLattice:
         return self.nf.theta_action(self.basis)
 
 
-def stack_forms(forms: Sequence[np.ndarray], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked forms and their symmetrized sum, checked positive definite."""
+def stack_forms(
+    forms: Sequence[np.ndarray], conj_index: Sequence[int], what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked forms and their symmetrized sum, checked positive definite.
+
+    The forms of conjugate embeddings s and conj_index[s] are equal in exact
+    arithmetic but may differ in the last bits; when they agree within
+    CONJSYM_TOL (relative) both are replaced by their mean, so that the
+    minima engine sees the two norms equal and can count the place twice.
+    Forms that genuinely differ are kept as they are.
+    """
+    forms = list(forms)
+    for s, sbar in enumerate(conj_index):
+        if s < sbar:
+            a, b = forms[s], forms[sbar]
+            if np.abs(a - b).max() <= CONJSYM_TOL * np.abs(a).max():
+                forms[s] = forms[sbar] = (a + b) / 2
     gram = sum(forms)
     gram = (gram + gram.T) / 2
     try:
@@ -217,7 +232,7 @@ def restrict_scalars(bundle: HermitianBundle) -> NormedLattice:
                 a[j, j * r + i] = complex(nf.integral_basis[i].embed(s))
         p = a.conj().T @ bundle.grams[s] @ a
         forms.append(np.real(p + p.conj().T) / 2)  # x real => x^T Re(P) x = |x|^2_sigma
-    stacked, gram = stack_forms(forms, "restricted lattice")
+    stacked, gram = stack_forms(forms, nf.conj_index, "restricted lattice")
     return NormedLattice(
         nf, n, nf.integral_basis, stacked, gram, functools.partial(BundleVector, bundle)
     )

@@ -110,7 +110,7 @@ def ideal_lattice(
         row = np.array([b.embed(s) for b in basis], dtype=complex)
         m = np.outer(row.conj(), row) * (sigma_scale[s] ** 2)
         forms.append(np.real(m + m.conj().T) / 2)
-    stacked, gram = stack_forms(forms, "ideal lattice")
+    stacked, gram = stack_forms(forms, nf.conj_index, "ideal lattice")
     basis = tuple(basis)
     return NormedLattice(nf, 1, basis, stacked, gram, functools.partial(nf.combine, basis))
 
@@ -293,7 +293,7 @@ class TraceDualLattice(NormedLattice):
         sigma-norms times the trace-module metric weights."""
         w = trace_module(self.nf).metric_weights
         forms = [(w[s] ** 2) * p for s, p in enumerate(self.forms)]
-        stacked, gram = stack_forms(forms, "weighted trace-dual lattice")
+        stacked, gram = stack_forms(forms, self.nf.conj_index, "weighted trace-dual lattice")
         return NormedLattice(self.nf, self.max_f_rank, self.basis, stacked, gram, self.witness)
 
     def sigma_norm_via_alpha(self, z: Sequence[int], s: int) -> float:
@@ -331,7 +331,7 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
         m = c @ hinv @ c.conj().T
         dual_grams.append(hinv)
         forms.append(np.real(m + m.conj().T) / 2)
-    stacked, gram = stack_forms(forms, "trace-dual lattice")
+    stacked, gram = stack_forms(forms, nf.conj_index, "trace-dual lattice")
     return TraceDualLattice(
         nf=nf,
         max_f_rank=n,

@@ -79,6 +79,19 @@ def test_euclid_gram_is_sigma_sum(field_sqrt_minus3):
         assert math.isclose(q, s, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def test_conjugate_forms_are_equal(field_zeta5):
+    # the forms of conjugate embeddings agree to rounding; stack_forms makes
+    # them bit-identical, which the sum norm's place-aware ellipsoid relies on
+    from hermlat import trace_dual
+    from hermlat.transference import random_bundle
+
+    bundle = random_bundle(field_zeta5, 2, np.random.default_rng(1))
+    dual = trace_dual(bundle)
+    for lat in (restrict_scalars(bundle), dual, dual.weighted()):
+        for s, sbar in enumerate(field_zeta5.conj_index):
+            assert np.array_equal(lat.forms[s], lat.forms[sbar])
+
+
 def test_aggregation_sandwich(field_qi, field_sqrt2):
     rng = np.random.default_rng(6)
     for nf in (field_qi, field_sqrt2):

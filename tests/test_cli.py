@@ -114,6 +114,25 @@ def test_check_failure_exit_code():
     assert "verdict: fail" in out
 
 
+def test_dual_minima_takes_slack():
+    # a slack of -5 makes mu_k(E*) <= mu_k(E^v) + log|v| - 5 fail
+    argv = ["check", "--fixture", str(FIXDIR / "bundle_sqrt2_rank1.json"), "--statement", "dual-minima"]
+    code, out, _ = run_cli(argv + ["--slack", "-5"])
+    assert code == 2
+    assert "verdict: fail" in out
+    assert run_cli(argv)[0] == 0
+
+
+def test_chain_rejects_slack():
+    code, out, err = run_cli([
+        "check", "--fixture", str(FIXDIR / "bundle_gaussian_rank1.json"),
+        "--statement", "chain", "--slack", "0.1",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "keep their declared slacks" in err
+
+
 def test_budget_exhaustion_exit_code():
     code, out, _ = run_cli([
         "minima", "--fixture", str(FIXDIR / "bundle_gaussian_rank2_seed42.json"),

@@ -8,13 +8,15 @@ via the classical expansion rank_F {v_i} = rank_Q {theta^j v_i} / r -- so
 no code path is shared with the enumeration engine it checks.
 """
 
+import functools
 import gc
-import itertools
 import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermlat import (
     DEFAULT_BUDGET,
@@ -39,11 +41,17 @@ from conftest import identity_bundle
 # -- independent oracle -------------------------------------------------------
 
 
-def _box_points(bounds):
-    ranges = [range(-b, b + 1) for b in bounds]
-    for point in itertools.product(*ranges):
-        if any(point):
-            yield np.array(point, dtype=np.int64)
+def _box_points(bounds, chunk=1 << 16):
+    """The nonzero points of the box prod_i [-b_i, b_i] up to sign (highest
+    nonzero coordinate positive), as int64 arrays of at most ``chunk`` rows."""
+    shape = [2 * b + 1 for b in bounds]
+    total = math.prod(shape)
+    for start in range(0, total, chunk):
+        index = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        points = np.stack(index, axis=1) - np.array(bounds, dtype=np.int64)
+        nonzero = points != 0
+        last = points.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+        yield points[nonzero.any(axis=1) & (points[np.arange(len(points)), last] > 0)]
 
 
 def _canonical(z):
@@ -95,14 +103,14 @@ def box_oracle(lattice, count, mode, norm):
             for i in range(lattice.z_rank)
         ]
         seen = {}
-        for z in _box_points(box):
-            key = _canonical(z)
-            if key in seen:
-                continue
-            norms = lattice.sigma_norms(np.array(key))
-            value = norms.max() if norm == "sup" else norms.sum()
-            if value <= bound * (1 + 1e-9):
-                seen[key] = float(value)
+        for zs in _box_points(box):
+            sq = np.einsum("mi,sij,mj->ms", zs.astype(float), lattice.forms, zs.astype(float))
+            norms = np.sqrt(np.maximum(sq, 0.0))
+            values = norms.max(axis=1) if norm == "sup" else norms.sum(axis=1)
+            inside = values <= bound * (1 + 1e-9)
+            seen.update(
+                (tuple(int(c) for c in z), float(v)) for z, v in zip(zs[inside], values[inside])
+            )
         ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
         chosen = []
         for key, value in ordered:
@@ -231,6 +239,28 @@ def oracle_fixture_lattices():
     return cases
 
 
+@functools.cache
+def mixed_cubic_field():
+    """x^3 - 2: one real and one complex place."""
+    return build_field([-2, 0, 0, 1])
+
+
+def signature_fixture_lattices():
+    """Cubic fields of both signatures: x^3 - 2 (one real and one complex
+    place, so the sum norm's enumeration form weights the complex
+    embeddings twice) and the totally real x^3 - 3x + 1.  The metrics are
+    well conditioned, which keeps the oracle's six-dimensional boxes small."""
+    from hermlat.transference import random_bundle
+
+    rng = np.random.default_rng(4321)
+    mixed, real = mixed_cubic_field(), build_field([1, -3, 0, 1])
+    return [
+        (f"{name}{rank}", random_bundle(nf, rank, rng, cond_max=3.0))
+        for name, nf in (("x3-2-", mixed), ("real3-", real))
+        for rank in (1, 2)
+    ]
+
+
 def skewed_bundle(bundle, rng):
     """The bundle in the module basis U e_j, for a unimodular integer U with
     entries up to about 100: its restricted lattice is isometric to the
@@ -262,7 +292,7 @@ def assert_matches_oracle(lat, count, mode, norm, oracle_lat=None):
         assert engine_count == counts[i]
 
 
-@pytest.mark.parametrize("name,bundle", oracle_fixture_lattices())
+@pytest.mark.parametrize("name,bundle", oracle_fixture_lattices() + signature_fixture_lattices())
 @pytest.mark.parametrize("norm", ["sup", "sum"])
 def test_oracle_equivalence(name, bundle, norm):
     lat = restrict_scalars(bundle)
@@ -271,7 +301,8 @@ def test_oracle_equivalence(name, bundle, norm):
 
 
 @pytest.mark.parametrize(
-    "name,bundle", [c for c in oracle_fixture_lattices() if c[1].rank >= 2]
+    "name,bundle",
+    [c for c in oracle_fixture_lattices() + signature_fixture_lattices() if c[1].rank >= 2],
 )
 @pytest.mark.parametrize("norm", ["sup", "sum"])
 def test_oracle_equivalence_skewed(name, bundle, norm):
@@ -283,11 +314,84 @@ def test_oracle_equivalence_skewed(name, bundle, norm):
         assert_matches_oracle(lat, count, mode, norm, restrict_scalars(bundle))
 
 
-@pytest.mark.parametrize("name,bundle", oracle_fixture_lattices())
+@pytest.mark.parametrize("name,bundle", oracle_fixture_lattices() + signature_fixture_lattices())
 def test_oracle_equivalence_trace_dual(name, bundle):
     dual = trace_dual(bundle)
     assert_matches_oracle(dual, dual.z_rank, "q-rank", "sum")
     assert_matches_oracle(dual.weighted(), bundle.rank, "f-rank", "sup")
+
+
+def sum_ball_in_euclidean_ellipsoid(lat, bound):
+    """The sum ball of radius ``bound`` (with the engine's tolerance), cut out
+    of {Q <= bound^2}: sum_s |x|_s <= b implies Q(x) <= b^2 over any field.
+    That containment ignores places, so it cross-checks the engine's
+    place-aware one."""
+    t = lll_transform(lat.euclid_gram)
+    ys, _ = enumerate_ellipsoid(t.T @ lat.euclid_gram @ t, bound * bound, DEFAULT_BUDGET)
+    return {
+        _canonical(tuple(int(c) for c in z))
+        for z in ys @ t.T
+        if _agg(lat, z, "sum") <= bound * (1 + minima.TOL)
+    }
+
+
+def test_sum_norm_ellipsoid_weights(field_qi, field_zeta5):
+    from hermlat.duality import codifferent_lattice, ideal_lattice, trace_module
+
+    form = minima._enumeration_form
+    assert form(restrict_scalars(identity_bundle(mixed_cubic_field())), "sum") == ((1.0, 2.0, 2.0), 1.0)
+    assert form(trace_dual(identity_bundle(field_zeta5, 2)), "sum") == ((1.0,) * 4, 0.5)
+    assert form(codifferent_lattice(field_zeta5), "sup") == ((1.0,) * 4, 4.0)
+    # norms that are not conjugation invariant keep m = 1 on the unpaired
+    # embeddings, and the search stays complete
+    assert field_zeta5.conj_index == (1, 0, 3, 2)
+    codiff = trace_module(field_zeta5).codifferent_basis
+    for lat, weights in (
+        (ideal_lattice(field_zeta5, codiff, [1.5, 1.0, 1.0, 1.0]), (1.0, 1.0, 2.0, 2.0)),
+        (ideal_lattice(field_qi, field_qi.integral_basis, [1.0, 2.0]), (1.0, 1.0)),
+    ):
+        assert form(lat, "sum") == (weights, 1.0)
+        prof = successive_minima(lat, lat.z_rank, "q-rank", "sum")
+        values, _ = box_oracle(lat, lat.z_rank, "q-rank", "sum")
+        assert prof.certified
+        assert np.allclose(prof.values, values, rtol=0, atol=1e-9)
+
+
+def test_sum_ball_on_the_ellipsoid_boundary(field_qi):
+    # over Q(i) one complex place carries both embeddings, so 2Q(x) equals
+    # (sum_s |x|_s)^2 and the sum ball's boundary points lie on the boundary
+    # of the ellipsoid {2Q <= b^2} the search runs in
+    from hermlat.transference import BundleChecks, random_bundle
+
+    ctx = BundleChecks(random_bundle(field_qi, 8, np.random.default_rng(1)))
+    prof = ctx.profile("lambda_vee")
+    lat, bound = ctx.tdual, prof.radius_used
+    assert prof.certified
+    ball = {v.z_coords for v in enumerate_below(lat, "sum", bound)}
+    assert ball == sum_ball_in_euclidean_ellipsoid(lat, bound)
+    edge = max(2 * (z @ lat.euclid_gram @ z) / bound**2 for z in np.array(sorted(ball), dtype=float))
+    assert abs(edge - 1) <= 1e-12
+
+
+@given(
+    name=st.sampled_from(["gaussian", "zeta5", "x3-2"]),
+    rank=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    dual=st.booleans(),
+    scale=st.floats(1.0, 1.5),
+)
+@settings(max_examples=30, deadline=None)
+def test_sum_ball_matches_euclidean_containment(name, rank, seed, dual, scale):
+    from hermlat import shipped_field
+    from hermlat.transference import random_bundle
+
+    nf = mixed_cubic_field() if name == "x3-2" else shipped_field(name)
+    bundle = random_bundle(nf, rank, np.random.default_rng(seed))
+    lat = trace_dual(bundle) if dual else restrict_scalars(bundle)
+    shortest = min(_agg(lat, z, "sum") for z in lll_transform(lat.euclid_gram).T)
+    bound = scale * shortest
+    ball = {v.z_coords for v in enumerate_below(lat, "sum", bound)}
+    assert ball == sum_ball_in_euclidean_ellipsoid(lat, bound)
 
 
 def lll_test_grams():
@@ -322,9 +426,9 @@ def test_lll_transform_reduced_and_unimodular(name, gram):
         assert b[k] >= (0.99 - mu[k - 1, k] ** 2) * b[k - 1] * (1 - 1e-9)
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank", [2, 3, 4])
 def test_roadmap_zeta5_bundles_certify(field_zeta5, rank):
-    # the first random_bundle(zeta5, N, default_rng(1)) draws; N*r = 8 and 12
+    # the first random_bundle(zeta5, N, default_rng(1)) draws; N*r = 8, 12 and 16
     from hermlat.transference import BundleChecks, random_bundle
 
     ctx = BundleChecks(random_bundle(field_zeta5, rank, np.random.default_rng(1)))
@@ -332,8 +436,10 @@ def test_roadmap_zeta5_bundles_certify(field_zeta5, rank):
     assert all(p.certified for p in profiles.values())
     if rank == 2:
         assert profiles["lambda_vee"].nodes <= 20_000
-    # exact counts, those of the recursive Fincke-Pohst search the kernel replaced
-    assert profiles["lambda_vee"].nodes == {2: 10_624, 3: 233_232}[rank]
+    # exact counts of the sum-norm search in the ellipsoid {Q <= b^2 / 2}
+    # (zeta5 is totally complex); {Q <= b^2} took 10,624 and 233,232 nodes
+    # at N = 2 and 3, and 13.4M at N = 4
+    assert profiles["lambda_vee"].nodes == {2: 969, 3: 6_486, 4: 100_992}[rank]
 
 
 @pytest.mark.parametrize(
