@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--k", type=int, default=None, help="single index; default sweeps all valid k")
     sp.add_argument("--slack", type=float, default=None,
-                    help="override the declared slack (not for chain, whose links keep theirs)")
+                    help="override the declared slack (not for chain or all: the chain's links keep theirs)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("fuzz", help="seeded randomized sweep of all checkers")
@@ -175,18 +175,20 @@ def _dual_minima_doc(rep: DualMinimaReport) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    if args.statement == "chain" and args.slack is not None:
-        raise ValueError("--slack does not apply to chain: its links keep their declared slacks")
+    if args.statement in ("chain", "all") and args.slack is not None:
+        raise ValueError(
+            f"--slack does not apply to {args.statement}: the chain's links keep their declared slacks"
+        )
     bundle = load_bundle(args.fixture, args.precision)
     n, r = bundle.rank, bundle.nf.degree
     ctx = BundleChecks(bundle, args.budget)
-    # --slack overrides a declared slack; the chain's links keep their own
+    # --slack overrides a declared slack (never the chain's, see above)
     kw = {} if args.slack is None else {"slack": args.slack}
     reports = []
     for name, (check, indices) in STATEMENTS.items():
         if args.statement in (name, "all"):
             ks = indices(n, r) if args.k is None else [args.k]
-            reports += [check(ctx, k, **({} if name == "chain" else kw)) for k in ks]
+            reports += [check(ctx, k, **kw) for k in ks]
     docs = [render_report(rep) for rep in reports]
     if args.statement in ("dual-minima", "all"):
         # indexed like the sandwich, by the minima mu_k of the bundle

@@ -3,17 +3,16 @@
 The engine never searches for its radius.  For the first ``count`` minima
 it
 
-1. reduces the Gram G of the norm's enumeration form (see the
-   containment below) with LLL (delta = 0.99) to an exact integer
-   unimodular T, memoized per form;
+1. reduces the Euclidean Gram G with LLL (delta = 0.99) to an exact
+   integer unimodular T;
 2. takes a proven radius b from the aggregated norms of the reduced basis
    vectors T e_i.  In q-rank mode the ``count`` shortest basis vectors are
    Q-independent, so b is their largest norm.  In f-rank mode any
    (count-1)*r+1 Q-independent vectors contain ``count`` F-independent
    ones (count-1 vectors span an F-subspace of Q-dimension at most
    (count-1)*r), so b is the ((count-1)*r+1)-th smallest basis norm;
-3. enumerates the ellipsoid {G <= R} containing the norm ball of radius
-   b once, on T^T G T.  The kernel is a level-synchronous Fincke-Pohst
+3. enumerates the ellipsoid below containing the norm ball of radius b
+   once, on T^T G T.  The kernel is a level-synchronous Fincke-Pohst
    search: it fixes the coordinates from the last down, expanding a whole
    frontier of partial vectors per level with numpy, and counts each
    frontier's children against the node budget before building them.
@@ -34,30 +33,31 @@ it
    is touched.  Since b bounds the ``count``-th minimum, the greedy scan
    always completes unless the node budget ran out first.
 
-Containment used by the enumeration.  P_s is the form of embedding s, so
-P_s(x) = |x|_s^2, and each norm ball is enumerated inside the ellipsoid
-{sum_s w_s P_s <= R} of a place-aware form:
+Containment used by the enumeration (Q is the Euclidean form, the sum of
+the squared embedding norms |x|_s^2 over all r embeddings):
 
-* sup norm:  sup_s |x|_s <= b  implies  sum_s |x|_s^2 <= r * b^2, so
-  w = 1 and R = r b^2.
-* sum norm:  let m_s = 2 when s and its conjugate embedding have equal
+* sup norm:  sup_s |x|_s <= b  implies  Q(x) = sum_s |x|_s^2 <= r * b^2,
+  so the ellipsoid {Q <= r b^2} contains the sup ball of radius b.
+* sum norm:  let m_s = 2 when embedding s and its conjugate have equal
   forms (a complex place, counted twice) and m_s = 1 otherwise.  A place
   p, of norm a_p, appears m_p times among the embeddings, so
   sum_s |x|_s <= b  means  sum_p m_p a_p <= b  and
-  sum_s m_s |x|_s^2 = sum_p (m_p a_p)^2 <= (sum_p m_p a_p)^2 <= b^2.
-  Dividing by min(m): w_s = m_s / min(m) and R = b^2 / min(m), that is
-  {Q <= b^2} over a totally real field, {Q <= b^2 / 2} over a totally
-  complex one (Q = sum_s P_s, the Euclidean form) and a weighted form of
-  its own over a field of mixed signature.
+  min(m) Q(x) <= sum_s m_s |x|_s^2 = sum_p (m_p a_p)^2
+              <= (sum_p m_p a_p)^2 <= b^2.
+  The ellipsoid {Q <= b^2 / 2} therefore contains the sum ball of radius
+  b when every embedding is paired (a totally complex field whose
+  conjugate norms agree), and {Q <= b^2} does otherwise.
 
 Both containments are exact inequalities between nonnegative reals, hence
 an enumeration that is complete in the ellipsoid is complete in the norm
 ball, which is what certification rests on.  Forms are paired only when
 they are equal as arrays (``bundles.stack_forms`` makes the forms of
 conjugate embeddings equal), so a lattice whose conjugate norms differ
-keeps m = 1 and the looser ellipsoid.  T is unimodular whatever the
-rounding in its Gram-Schmidt data, so the reduced coordinates cover exactly
-the same lattice points; floating point only affects how well reduced T is.
+keeps the looser ellipsoid.  The ellipsoid is enumerated at the radius
+bound * (1 + TOL) that the norm filter accepts.  T is unimodular whatever
+the rounding in its Gram-Schmidt data, so the reduced coordinates cover
+exactly the same lattice points; floating point only affects how well
+reduced T is.
 """
 
 from __future__ import annotations
@@ -266,34 +266,30 @@ def _subtract_basis_vector(g: list, t: list, k: int, l: int, q: int) -> None:
             row[k] = gk[j]
 
 
-def _enumeration_form(lattice: NormedLattice, norm: Norm) -> tuple[tuple[float, ...], float]:
-    """Weights w and factor c such that the ball of radius b of ``norm``
-    lies in {sum_s w_s P_s <= c b^2} (see the module docstring)."""
-    r = lattice.n_embeddings
+def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
+    """c such that {Q <= c b^2} contains the ball of radius b of ``norm``
+    (see the module docstring); the pairing is memoized on the lattice."""
     if norm == "sup":
-        return (1.0,) * r, float(r)
-    forms, conj = lattice.forms, lattice.nf.conj_index
-    m = [2 if conj[s] != s and np.array_equal(forms[s], forms[conj[s]]) else 1 for s in range(r)]
-    low = min(m)
-    return tuple(ms / low for ms in m), 1 / low
-
-
-def _reduce(lattice: NormedLattice, weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """An LLL-reduced basis T for the form G = sum_s w_s P_s and T^T G T,
-    memoized on the lattice per weight vector.  All-ones weights give the
-    Euclidean Gram."""
+        return float(lattice.n_embeddings)
 
     def build():
-        if all(w == 1 for w in weights):
-            gram = lattice.euclid_gram
-        else:
-            gram = np.tensordot(weights, lattice.forms, axes=1)
-            gram = (gram + gram.T) / 2
-        t = lll_transform(gram)
-        reduced = t.T @ gram @ t
-        return t, (reduced + reduced.T) / 2
+        forms, conj = lattice.forms, lattice.nf.conj_index
+        paired = all(c != s and np.array_equal(forms[s], forms[c]) for s, c in enumerate(conj))
+        return 0.5 if paired else 1.0
 
-    return lattice.memoized(("reduced", weights), build)
+    return lattice.memoized("sum_factor", build)
+
+
+def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
+    """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T,
+    memoized on the lattice."""
+
+    def build():
+        t = lll_transform(lattice.euclid_gram)
+        gram = t.T @ lattice.euclid_gram @ t
+        return t, (gram + gram.T) / 2
+
+    return lattice.memoized("reduced", build)
 
 
 def enumerate_below(
@@ -302,11 +298,9 @@ def enumerate_below(
     bound: float,
     budget: int = DEFAULT_BUDGET,
 ) -> list[BundleVector]:
-    """All nonzero vectors of aggregated norm at most ``bound``, up to sign.
+    """All nonzero vectors with aggregated norm <= bound*(1+tol), up to sign.
 
-    Norms are compared with the relative tolerance TOL, so vectors just
-    above the bound may be included.  Sorted by (aggregated norm,
-    lexicographic z-coordinates); deterministic.
+    Sorted by (aggregated norm, lexicographic z-coordinates); deterministic.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -344,16 +338,17 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
     among unit multiples of equal norm, do not depend on the batch's
     rounding.
     """
-    weights, factor = _enumeration_form(lattice, norm)
-    t, reduced_gram = _reduce(lattice, weights)
+    limit = bound * (1 + TOL)
+    t, reduced_gram = _reduce(lattice)
     try:
-        ys, nodes = enumerate_ellipsoid(reduced_gram, factor * bound * bound, budget)
+        ys, nodes = enumerate_ellipsoid(
+            reduced_gram, _radius_sq_factor(lattice, norm) * limit * limit, budget
+        )
     except BudgetExhausted:
         return None
     xs = ys @ t.T
     last = xs.shape[1] - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)
     xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
-    limit = bound * (1 + TOL)
     hits = []
     for z in xs[lattice.batch_norms(xs, norm) <= limit * (1 + BATCH_MARGIN)]:
         value = aggregate(lattice.sigma_norms(z), norm)
@@ -462,10 +457,7 @@ def successive_minima(
     if not 1 <= count <= max_k:
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")
 
-    # any basis proves the radius; the one reduced for the search costs no
-    # second reduction
-    t = _reduce(lattice, _enumeration_form(lattice, norm)[0])[0]
-    basis_norms = np.sort(lattice.batch_norms(t.T, norm))
+    basis_norms = np.sort(lattice.batch_norms(_reduce(lattice)[0].T, norm))
     index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
     bound = float(basis_norms[index])
     try:

@@ -123,10 +123,11 @@ def test_dual_minima_takes_slack():
     assert run_cli(argv)[0] == 0
 
 
-def test_chain_rejects_slack():
+@pytest.mark.parametrize("statement", ["chain", "all"])
+def test_chain_rejects_slack(statement):
     code, out, err = run_cli([
         "check", "--fixture", str(FIXDIR / "bundle_gaussian_rank1.json"),
-        "--statement", "chain", "--slack", "0.1",
+        "--statement", statement, "--slack", "0.1",
     ])
     assert code == 1
     assert out == ""

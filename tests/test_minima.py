@@ -247,8 +247,8 @@ def mixed_cubic_field():
 
 def signature_fixture_lattices():
     """Cubic fields of both signatures: x^3 - 2 (one real and one complex
-    place, so the sum norm's enumeration form weights the complex
-    embeddings twice) and the totally real x^3 - 3x + 1.  The metrics are
+    place, so the sum norm's search keeps the ellipsoid {Q <= b^2}) and
+    the totally real x^3 - 3x + 1.  The metrics are
     well conditioned, which keeps the oracle's six-dimensional boxes small."""
     from hermlat.transference import random_bundle
 
@@ -335,22 +335,22 @@ def sum_ball_in_euclidean_ellipsoid(lat, bound):
     }
 
 
-def test_sum_norm_ellipsoid_weights(field_qi, field_zeta5):
+def test_sum_norm_radius_factor(field_qi, field_zeta5):
     from hermlat.duality import codifferent_lattice, ideal_lattice, trace_module
 
-    form = minima._enumeration_form
-    assert form(restrict_scalars(identity_bundle(mixed_cubic_field())), "sum") == ((1.0, 2.0, 2.0), 1.0)
-    assert form(trace_dual(identity_bundle(field_zeta5, 2)), "sum") == ((1.0,) * 4, 0.5)
-    assert form(codifferent_lattice(field_zeta5), "sup") == ((1.0,) * 4, 4.0)
-    # norms that are not conjugation invariant keep m = 1 on the unpaired
-    # embeddings, and the search stays complete
+    factor = minima._radius_sq_factor
+    assert factor(restrict_scalars(identity_bundle(mixed_cubic_field())), "sum") == 1.0
+    assert factor(trace_dual(identity_bundle(field_zeta5, 2)), "sum") == 0.5
+    assert factor(codifferent_lattice(field_zeta5), "sup") == 4.0
+    # norms that are not conjugation invariant leave an embedding unpaired,
+    # so the search keeps {Q <= b^2} and stays complete
     assert field_zeta5.conj_index == (1, 0, 3, 2)
     codiff = trace_module(field_zeta5).codifferent_basis
-    for lat, weights in (
-        (ideal_lattice(field_zeta5, codiff, [1.5, 1.0, 1.0, 1.0]), (1.0, 1.0, 2.0, 2.0)),
-        (ideal_lattice(field_qi, field_qi.integral_basis, [1.0, 2.0]), (1.0, 1.0)),
+    for lat in (
+        ideal_lattice(field_zeta5, codiff, [1.5, 1.0, 1.0, 1.0]),
+        ideal_lattice(field_qi, field_qi.integral_basis, [1.0, 2.0]),
     ):
-        assert form(lat, "sum") == (weights, 1.0)
+        assert factor(lat, "sum") == 1.0
         prof = successive_minima(lat, lat.z_rank, "q-rank", "sum")
         values, _ = box_oracle(lat, lat.z_rank, "q-rank", "sum")
         assert prof.certified
@@ -371,6 +371,10 @@ def test_sum_ball_on_the_ellipsoid_boundary(field_qi):
     assert ball == sum_ball_in_euclidean_ellipsoid(lat, bound)
     edge = max(2 * (z @ lat.euclid_gram @ z) / bound**2 for z in np.array(sorted(ball), dtype=float))
     assert abs(edge - 1) <= 1e-12
+    # the search's ellipsoid has the norm filter's tolerance: a bound just
+    # below these points' norm still finds them
+    inside = {z for z in ball if _agg(lat, z, "sum") <= bound}
+    assert inside <= {v.z_coords for v in enumerate_below(lat, "sum", bound / (1 + minima.TOL / 2))}
 
 
 @given(
