@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed (or report-only command succeeded),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .heights import height_limit, height_lower_bounds, height_upper_bounds
 from .minima import DEFAULT_BUDGET, BudgetExhausted, successive_minima
 from .numberfield import DEFAULT_PREC_BITS, FieldError, duality_gap_constant, trace_gram
 from .reports import fmt, fmt_vec, render_documents, render_header, render_report
-from .transference import STATEMENTS, BundleChecks, DualMinimaReport, dual_minima_comparison, fuzz
+from .transference import DECLARED, BundleChecks, fuzz
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -68,7 +69,7 @@ def _build_parser() -> _Parser:
     common(sp, "bundle fixture path")
     sp.add_argument(
         "--statement",
-        choices=[*STATEMENTS, "dual-minima", "all"],
+        choices=[*DECLARED, "all"],
         default="all",
     )
     sp.add_argument("--k", type=int, default=None, help="single index; default sweeps all valid k")
@@ -162,40 +163,23 @@ def _cmd_minima(args) -> int:
     return EXIT_PASS if profile.certified else EXIT_UNCERTIFIED
 
 
-def _dual_minima_doc(rep: DualMinimaReport) -> list[str]:
-    return [
-        f"statement: dual-minima[k={rep.k}]",
-        f"mu_dual_bundle: {fmt(rep.mu_dual_bundle)}",
-        f"mu_trace_dual: {fmt(rep.mu_trace_dual)}",
-        f"transfer_log_norm: {fmt(rep.transfer_log_norm)}",
-        f"minkowski_log_norm: {fmt(rep.minkowski_log_norm)}",
-        f"minkowski_bound: {fmt(rep.minkowski_bound)}",
-        f"verdict: {rep.verdict}",
-    ]
-
-
 def _cmd_check(args) -> int:
-    if args.statement in ("chain", "all") and args.slack is not None:
+    selected = {name: st for name, st in DECLARED.items() if args.statement in (name, "all")}
+    fixed = [name for name, (_, _, slack) in selected.items() if slack is None]
+    if fixed and args.slack is not None:
         raise ValueError(
-            f"--slack does not apply to {args.statement}: the chain's links keep their declared slacks"
+            f"--slack does not apply to {args.statement}: the {fixed[0]}'s links keep their declared slacks"
         )
+    if args.slack is not None and not math.isfinite(args.slack):
+        raise ValueError(f"--slack must be finite, got {args.slack}")
     bundle = load_bundle(args.fixture, args.precision)
-    n, r = bundle.rank, bundle.nf.degree
     ctx = BundleChecks(bundle, args.budget)
-    # --slack overrides a declared slack (never the chain's, see above)
     kw = {} if args.slack is None else {"slack": args.slack}
     reports = []
-    for name, (check, indices) in STATEMENTS.items():
-        if args.statement in (name, "all"):
-            ks = indices(n, r) if args.k is None else [args.k]
-            reports += [check(ctx, k, **kw) for k in ks]
+    for check, indices, _ in selected.values():
+        ks = indices(bundle.rank, bundle.nf.degree) if args.k is None else [args.k]
+        reports += [check(ctx, k, **kw) for k in ks]
     docs = [render_report(rep) for rep in reports]
-    if args.statement in ("dual-minima", "all"):
-        # indexed like the sandwich, by the minima mu_k of the bundle
-        ks = STATEMENTS["sandwich"][1](n, r) if args.k is None else [args.k]
-        duals = [dual_minima_comparison(ctx, k, **kw) for k in ks]
-        reports += duals
-        docs += [_dual_minima_doc(rep) for rep in duals]
 
     header = render_header(
         "check",

@@ -116,15 +116,13 @@ class FieldElement:
 class NumberField:
     """A number field with a chosen order, embeddings and trace data.
 
-    ``integral_basis`` holds the basis elements of the order; the matrix
-    whose columns are their power-basis coordinates is kept alongside its
-    inverse for exact coordinate changes.
+    ``integral_basis`` holds the basis elements of the order, and
+    ``basis_matrix_inv`` maps power-basis coordinates to coordinates in it.
     """
 
     defining_poly: tuple[int, ...]  # constant term first, monic
     degree: int
     integral_basis: tuple[FieldElement, ...] = field(repr=False)
-    basis_matrix: tuple[tuple[Fraction, ...], ...] = field(repr=False)  # columns = basis
     basis_matrix_inv: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     trace_gram_matrix: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     discriminant: int
@@ -396,7 +394,6 @@ def build_field(
         defining_poly=tuple(coeffs),
         degree=r,
         integral_basis=(),
-        basis_matrix=tuple(tuple(row) for row in basis_cols),
         basis_matrix_inv=tuple(tuple(row) for row in basis_cols_inv),
         trace_gram_matrix=tuple(tuple(row) for row in gram),
         discriminant=int(disc),

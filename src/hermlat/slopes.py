@@ -128,7 +128,7 @@ def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT
     if not 1 <= k <= diag.rank:
         raise ValueError("k out of range")
     prof = successive_minima(restrict_scalars(diag.bundle), k, "f-rank", "sup", budget)
-    mu_k = prof.values[k - 1]
+    mu_k = prof.values[k - 1] if prof.certified else math.nan
     sigma_k = diagonal_slopes(diag).slopes[k - 1]
     total = mu_k + sigma_k
     return SlopeReport(

@@ -6,7 +6,8 @@ holds within its declared slack AND every minima computation certified;
 uncertified minima can never produce a pass.
 
 Slack policy: 1e-6 for statements whose bound involves transcendental
-constants, 1e-9 for purely structural comparisons.
+constants, 1e-9 for purely structural comparisons.  ``DECLARED`` gives
+each statement's slack and valid indices k; the checkers read both there.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .duality import (
     trace_dual,
     transfer_vector,
 )
-from .minima import DEFAULT_BUDGET, MinimaProfile, successive_minima
+from .minima import DEFAULT_BUDGET, BudgetExhausted, MinimaProfile, successive_minima
 from .numberfield import NumberField, duality_gap_constant
 
 SLACK_ANALYTIC = 1e-6
@@ -145,22 +146,33 @@ class BundleChecks:
         return self._profiles[key]
 
     def transfer(self) -> tuple:
-        """The field's transfer vector and its sup log-norm."""
-        return transfer_vector(self.nf, self.budget)
+        """The field's transfer vector and its sup log-norm; (None, NaN) past the budget."""
+        return _searched(transfer_vector, self.nf, self.budget)
 
 
-def _as_checks(bundle_or_checks, budget: int = DEFAULT_BUDGET) -> BundleChecks:
-    if isinstance(bundle_or_checks, BundleChecks):
-        return bundle_or_checks
-    return BundleChecks(bundle_or_checks, budget)
+def _searched(search, nf: NumberField, budget: int) -> tuple:
+    """A field vector search's (vector, log-norm), or (None, NaN) past the budget."""
+    try:
+        return search(nf, budget)
+    except BudgetExhausted:
+        return None, math.nan
 
 
-def check_sandwich(bundle_or_checks, k: int, slack: float = SLACK_ANALYTIC) -> TheoremReport:
+def _prepare(name: str, source, k: int, slack: float | None = None):
+    """The BundleChecks of ``source`` (a bundle or a BundleChecks) and the declared slack
+    of statement ``name`` unless overridden; ValueError for k outside its declared range."""
+    ctx = source if isinstance(source, BundleChecks) else BundleChecks(source)
+    _, indices, declared = DECLARED[name]
+    ks = indices(ctx.bundle.rank, ctx.nf.degree)
+    if k not in ks:
+        raise ValueError(f"k={k} out of range for {name}: need {ks.start} <= k <= {ks.stop - 1}")
+    return ctx, declared if slack is None else slack
+
+
+def check_sandwich(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
     """Sandwich 0 <= mu_k(E) + mu_(N+1-k)(E*) <= C(N, F)."""
-    ctx = _as_checks(bundle_or_checks)
+    ctx, slack = _prepare("sandwich", bundle_or_checks, k, slack)
     n = ctx.bundle.rank
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
     pe = ctx.profile("mu")
     pd = ctx.profile("mu_star")
     total = _value(pe, k - 1) + _value(pd, n - k)
@@ -185,16 +197,14 @@ def check_sandwich(bundle_or_checks, k: int, slack: float = SLACK_ANALYTIC) -> T
     )
 
 
-def check_polar_transference(bundle_or_checks, k: int, slack: float = SLACK_ANALYTIC) -> TheoremReport:
+def check_polar_transference(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
     """Polar transference: lambda_k + lambda^v_(Nr+1-k) <= (3/2) log(Nr).
 
     The companion lower bound lambda_k + lambda^v_(Nr+1-k) >= 0 is recorded
     in the report but does not affect the verdict.
     """
-    ctx = _as_checks(bundle_or_checks)
+    ctx, slack = _prepare("polar", bundle_or_checks, k, slack)
     nr = ctx.bundle.rank * ctx.nf.degree
-    if not 1 <= k <= nr:
-        raise ValueError("k out of range")
     pl = ctx.profile("lambda")
     pv = ctx.profile("lambda_vee")
     lam = _value(pl, k - 1)
@@ -222,17 +232,14 @@ def check_polar_transference(bundle_or_checks, k: int, slack: float = SLACK_ANAL
     )
 
 
-def check_index_comparison(bundle_or_checks, k: int, slack: float = SLACK_STRUCTURAL) -> TheoremReport:
+def check_index_comparison(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
     """Index comparison mu_(k+1) <= lambda_(kr+1) between the two
     independence notions on the same sup-normed lattice."""
-    ctx = _as_checks(bundle_or_checks)
-    n, r = ctx.bundle.rank, ctx.nf.degree
-    if not 0 <= k <= n - 1:
-        raise ValueError("k out of range: need k*r+1 <= N*r")
+    ctx, slack = _prepare("index", bundle_or_checks, k, slack)
     pe = ctx.profile("mu")
     pl = ctx.profile("lambda")
     lhs = _value(pe, k)
-    rhs = _value(pl, k * r)
+    rhs = _value(pl, k * ctx.nf.degree)
     certified = pe.certified and pl.certified
     return TheoremReport(
         statement=f"index[k={k}]",
@@ -259,18 +266,16 @@ def check_proof_chain(bundle_or_checks, k: int) -> TheoremReport:
 
     plus the assembled sandwich mu_k(E) + mu_(N+1-k)(E*) <= C(N,F).
     """
-    ctx = _as_checks(bundle_or_checks)
+    ctx, _ = _prepare("chain", bundle_or_checks, k)
     n, r = ctx.bundle.rank, ctx.nf.degree
     nr = n * r
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
     pe = ctx.profile("mu")
     ps = ctx.profile("mu_star")
     pl = ctx.profile("lambda")
     pv = ctx.profile("lambda_vee")
     pw = ctx.profile("mu_vee")
-    _, v_log = ctx.transfer()
-    certified = all(p.certified for p in (pe, ps, pl, pv, pw))
+    v, v_log = ctx.transfer()
+    certified = v is not None and all(p.certified for p in (pe, ps, pl, pv, pw))
 
     mu_k = _value(pe, k - 1)
     mu_star = _value(ps, n - k)
@@ -334,9 +339,7 @@ class DualMinimaReport:
         return _verdict(self.certified, self.holds)
 
 
-def dual_minima_comparison(
-    bundle_or_checks, k: int, budget: int = DEFAULT_BUDGET, slack: float = SLACK_ANALYTIC
-) -> DualMinimaReport:
+def dual_minima_comparison(bundle_or_checks, k: int, slack: float | None = None) -> DualMinimaReport:
     """Check mu_k(E*) <= mu_k(E^v) + sup log|v| with the transfer vector.
 
     The left side is the ``mu_star`` profile (dual bundle, inverse
@@ -344,17 +347,14 @@ def dual_minima_comparison(
     the weighted alpha norms and F-independence), and v is the field's
     transfer vector: the shortest vector of the inverse trace module in the
     duality metric.  The codifferent Minkowski vector and its guaranteed
-    bound are reported alongside.  ``budget`` applies when a bundle, not a
-    BundleChecks, is passed.
+    bound are reported alongside.
     """
-    ctx = _as_checks(bundle_or_checks, budget)
-    if not 1 <= k <= ctx.bundle.rank:
-        raise ValueError("k out of range")
+    ctx, slack = _prepare("dual-minima", bundle_or_checks, k, slack)
     star = ctx.profile("mu_star")
     dual = ctx.profile("mu_vee")
-    _, v_log = ctx.transfer()
-    _, mink_log = minkowski_codifferent_vector(ctx.nf, ctx.budget)
-    certified = star.certified and dual.certified
+    v, v_log = ctx.transfer()
+    mink, mink_log = _searched(minkowski_codifferent_vector, ctx.nf, ctx.budget)
+    certified = star.certified and dual.certified and v is not None and mink is not None
     lhs = _value(star, k - 1)
     return DualMinimaReport(
         k=k,
@@ -368,20 +368,23 @@ def dual_minima_comparison(
     )
 
 
-# statement -> (checker, its valid indices k for a rank-N bundle over a degree-r field)
+# statement -> (checker, valid k for a rank-N bundle over a degree-r field, slack or None if fixed)
 STATEMENTS = {
-    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1)),
-    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1)),
-    "index": (check_index_comparison, lambda n, r: range(0, n)),
-    "chain": (check_proof_chain, lambda n, r: range(1, n + 1)),
+    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1), SLACK_ANALYTIC),
+    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1), SLACK_ANALYTIC),
+    "index": (check_index_comparison, lambda n, r: range(0, n), SLACK_STRUCTURAL),
+    "chain": (check_proof_chain, lambda n, r: range(1, n + 1), None),
 }
+# every statement: check_all's, and the comparison whose report is a DualMinimaReport
+DECLARED = {**STATEMENTS,
+            "dual-minima": (dual_minima_comparison, lambda n, r: range(1, n + 1), SLACK_ANALYTIC)}
 
 
 def check_all(bundle: HermitianBundle, budget: int = DEFAULT_BUDGET) -> list[TheoremReport]:
     """Run every checker of ``STATEMENTS`` at every valid index for one bundle."""
     ctx = BundleChecks(bundle, budget)
     n, r = bundle.rank, bundle.nf.degree
-    return [check(ctx, k) for check, indices in STATEMENTS.values() for k in indices(n, r)]
+    return [check(ctx, k) for check, indices, _ in STATEMENTS.values() for k in indices(n, r)]
 
 
 def random_bundle(nf: NumberField, rank: int, rng: np.random.Generator,

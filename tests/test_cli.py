@@ -134,6 +134,17 @@ def test_chain_rejects_slack(statement):
     assert "keep their declared slacks" in err
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+def test_non_finite_slack_rejected(slack):
+    code, out, err = run_cli([
+        "check", "--fixture", str(FIXDIR / "bundle_gaussian_rank1.json"),
+        "--statement", "sandwich", f"--slack={slack}",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "--slack must be finite" in err
+
+
 def test_budget_exhaustion_exit_code():
     code, out, _ = run_cli([
         "minima", "--fixture", str(FIXDIR / "bundle_gaussian_rank2_seed42.json"),
@@ -150,6 +161,23 @@ def test_uncertified_check_exit_code():
     ])
     assert code == 3
     assert "verdict: uncertified" in out
+
+
+def test_exhausted_field_searches_still_report():
+    # two nodes stop the transfer and Minkowski vector searches too; the
+    # chain and dual-minima statements report uncertified instead of aborting
+    code, out, _ = run_cli([
+        "check", "--fixture", str(FIXDIR / "bundle_gaussian_rank1.json"),
+        "--statement", "all", "--budget", "2",
+    ])
+    assert code == 3
+    docs = out.rstrip("\n").split("\n\n")[1:]
+    assert [doc.partition("\n")[0] for doc in docs] == [
+        "statement: sandwich[k=1]", "statement: polar[k=1]", "statement: polar[k=2]",
+        "statement: index[k=0]", "statement: chain[k=1]", "statement: dual-minima[k=1]",
+    ]
+    assert all("verdict: uncertified" in doc for doc in docs)
+    assert "transfer_log_norm: nan" in docs[-2] and "minkowski_log_norm: nan" in docs[-1]
 
 
 def test_out_writes_file(tmp_path):

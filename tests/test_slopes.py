@@ -70,6 +70,14 @@ def test_minima_slope_diag_q(field_q):
     assert rep.holds and abs(rep.total) <= 1e-12
 
 
+def test_minima_slope_uncertified_past_budget(field_qi):
+    # one node is not enough to find mu_2; the report says so instead of raising
+    diag = diagonal_bundle(field_qi, [[1.0, 1.0], [2.0, 2.0]])
+    rep = check_minima_slope_bound(diag, 2, budget=1)
+    assert not rep.certified and not rep.holds
+    assert math.isnan(rep.mu_k)
+
+
 def test_minima_slope_random(field_sqrt_minus3):
     rng = np.random.default_rng(21)
     for _ in range(10):

@@ -10,14 +10,17 @@ from hermlat import (
     check_index_comparison,
     check_proof_chain,
     check_sandwich,
+    dual_minima_comparison,
     duality_gap_constant,
     fuzz,
+    load_field,
     make_bundle,
     random_bundle,
 )
 from hermlat.reports import render_report
+from hermlat.transference import DECLARED
 
-from conftest import identity_bundle
+from conftest import FIXDIR, identity_bundle
 
 
 def test_sandwich_rank1_q_equality(field_q):
@@ -83,6 +86,24 @@ def test_index_comparison_r1_and_edge(field_q, field_qi, field_sqrt2):
     assert check_index_comparison(b3, 0).verdict == "pass"  # mu_1 <= lambda_1
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("field", ["q", "gaussian"])
+@pytest.mark.parametrize("name", list(DECLARED))
+def test_declared_k_range(name, field, n, all_fields):
+    # the paper's ranges: sandwich, chain and dual minima 1 <= k <= N,
+    # polar transference 1 <= k <= Nr, index comparison 0 <= k <= N-1
+    nf = all_fields[field]
+    lo, hi = {"polar": (1, n * nf.degree), "index": (0, n - 1)}.get(name, (1, n))
+    check, indices, _ = DECLARED[name]
+    assert indices(n, nf.degree) == range(lo, hi + 1)
+    ctx = BundleChecks(identity_bundle(nf, rank=n))
+    for k in (lo, hi):
+        check(ctx, k)
+    for k in (lo - 1, hi + 1):
+        with pytest.raises(ValueError):
+            check(ctx, k)
+
+
 def test_index_comparison_bounds(field_qi):
     b = identity_bundle(field_qi)
     with pytest.raises(ValueError):
@@ -121,6 +142,22 @@ def test_uncertified_never_passes(field_qi):
     ctx = BundleChecks(b, budget=3)
     rep = check_sandwich(ctx, 1)
     assert rep.verdict == "uncertified"
+
+
+def test_exhausted_field_searches_are_uncertified():
+    # a freshly loaded field has no memoized transfer or Minkowski vector,
+    # so both searches run under the budget (24 nodes each over zeta5)
+    nf = load_field(FIXDIR / "field_zeta5.json")
+    reports = check_all(random_bundle(nf, 2, np.random.default_rng(1)), budget=3)
+    assert reports and all(rep.verdict == "uncertified" for rep in reports)
+    # at 20 nodes the sandwich's profiles certify (17 nodes each), the searches do not
+    ctx = BundleChecks(identity_bundle(nf), budget=20)
+    assert check_sandwich(ctx, 1).verdict == "pass"
+    chain = check_proof_chain(ctx, 1)
+    assert chain.verdict == "uncertified" and math.isnan(chain.get("transfer_log_norm"))
+    dual = dual_minima_comparison(ctx, 1)
+    assert dual.verdict == "uncertified"
+    assert math.isnan(dual.transfer_log_norm) and math.isnan(dual.minkowski_log_norm)
 
 
 def test_check_all_counts(field_qi):
