@@ -10,7 +10,9 @@ runs on: the restricted bundles here, and the trace-dual and ideal
 lattices of ``hermlat.duality``.
 
 Everything is immutable after construction, apart from a lattice's memo of
-deterministic derived data; concurrent reads are safe.
+deterministic derived data; concurrent reads are safe.  The memo's balls
+(``hermlat.minima``) are normed as they are read, under a lock of their
+own.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ def _cmd_check(args) -> int:
     if args.slack is not None and not math.isfinite(args.slack):
         raise ValueError(f"--slack must be finite, got {args.slack}")
     bundle = load_bundle(args.fixture, args.precision)
-    ctx = BundleChecks(bundle, args.budget)
+    ctx = BundleChecks(bundle, args.budget, selected)
     kw = {} if args.slack is None else {"slack": args.slack}
     reports = []
     for check, indices, _ in selected.values():

@@ -42,7 +42,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -208,15 +208,13 @@ def minkowski_codifferent_vector(
     (1/r)log|disc| - (r2/r)log(pi).  The search runs at the radius the
     reduced basis proves, and its result is then checked against that bound:
     a shortest vector outside it indicates an implementation bug and raises
-    DualityError.  Computed once per field.
+    DualityError.  Computed once per field; raises BudgetExhausted when the
+    search needs more nodes than the budget.
     """
-    return nf.memoized("minkowski_vector", lambda: _minkowski_vector(nf, budget))
-
-
-def _minkowski_vector(nf: NumberField, budget: int) -> tuple[FieldElement, float]:
-    bound = minkowski_codifferent_bound(nf)
-    v, log_norm = _shortest_vector(codifferent_lattice(nf), budget, "enumeration")
-    if log_norm > bound + math.log1p(TOL):
+    v, log_norm = _shortest_vector(
+        nf, "minkowski_vector", codifferent_lattice, budget, "enumeration"
+    )
+    if log_norm > minkowski_codifferent_bound(nf) + math.log1p(TOL):
         raise DualityError(
             "no codifferent vector inside the guaranteed radius; "
             "this contradicts Minkowski's theorem and signals a bug"
@@ -230,22 +228,39 @@ def transfer_vector(nf: NumberField, budget: int = DEFAULT_BUDGET) -> tuple[Fiel
     Returns (y, sup log-norm) where y ranges over the different and the
     norm at embedding s is |sigma(y)| / weight_s.  This is the vector whose
     sup log-norm bounds mu_k(E-dual-bundle) - mu_k(E-trace-dual) from above.
-    Computed once per field; raises BudgetExhausted when the search does
-    not certify within the budget.
+    Computed once per field; raises BudgetExhausted when the search needs
+    more nodes than the budget.
     """
-    return nf.memoized(
-        "transfer_vector",
-        lambda: _shortest_vector(dual_trace_module_lattice(nf), budget, "transfer vector search"),
+    return _shortest_vector(
+        nf, "transfer_vector", dual_trace_module_lattice, budget, "transfer vector search"
     )
 
 
-def _shortest_vector(lattice: NormedLattice, budget: int, search: str) -> tuple[FieldElement, float]:
-    """Shortest nonzero sup-norm vector and its log-norm, from one search at the
-    radius the reduced basis proves; BudgetExhausted names the ``search``."""
-    profile = successive_minima(lattice, 1, "q-rank", "sup", budget)
-    if not profile.certified:
+def _shortest_vector(
+    nf: NumberField,
+    key: str,
+    lattice: Callable[[NumberField], NormedLattice],
+    budget: int,
+    search: str,
+) -> tuple[FieldElement, float]:
+    """Shortest nonzero sup-norm vector of ``lattice(nf)`` and its log-norm,
+    from one search at the radius the reduced basis proves.
+
+    The result is kept in the field's memo under ``key`` together with the
+    search's node count, so a later call whose budget is below that count
+    raises BudgetExhausted (naming the ``search``) just as a first one would.
+    """
+
+    def build():
+        profile = successive_minima(lattice(nf), 1, "q-rank", "sup", budget)
+        if not profile.certified:
+            raise BudgetExhausted(f"{search} exceeded budget of {budget} nodes")
+        return profile.witnesses[0], profile.values[0], profile.nodes
+
+    v, log_norm, nodes = nf.memoized(key, build)
+    if nodes > budget:
         raise BudgetExhausted(f"{search} exceeded budget of {budget} nodes")
-    return profile.witnesses[0], profile.values[0]
+    return v, log_norm
 
 
 @dataclass(frozen=True)

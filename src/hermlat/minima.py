@@ -18,12 +18,20 @@ it
    frontier's children against the node budget before building them.
    Frontiers are cut into chunks of at most ``_FRONTIER_ROWS`` rows and
    expanded depth first, so memory is bounded whatever the budget.  The
-   reduction and the norm-filtered candidates of step 4 are memoized on
-   the lattice, so ``mu`` and ``lambda`` share one search when they ask
-   for the same ball;
+   reduction and the searched ball of step 4 are memoized on the lattice:
+   a lattice keeps one ball per norm and budget, the largest it completed,
+   and any smaller radius of that norm and budget is answered by a prefix
+   of it (``mu``'s ball lies inside ``lambda``'s).  A lattice whose
+   Euclidean Gram is an exact power-of-two multiple of another's takes
+   that lattice's T (see ``share_reduction``);
 4. maps the candidates back through T, puts their signs in the original
-   coordinates (highest nonzero coordinate positive) and norms them all in
-   one batch;
+   coordinates (highest nonzero coordinate positive), norms them all in
+   one batch and keeps those the batch puts within ``BATCH_MARGIN`` of
+   the ball, sorted by their batch norm.  Each one is normed again on its
+   own by ``sigma_norms`` only when a reader reaches it, and a hit of
+   norm v is handed out only once every candidate of batch norm at most
+   v * (1 + BATCH_MARGIN) is normed, so readers see the exact
+   (norm, z) order of the whole ball however little of it they read;
 5. picks witnesses greedily by nondecreasing (norm, z) with exact
    independence tests in one fraction-free integer rank tracker.  In
    q-rank mode it holds the chosen z.  In f-rank mode it holds each chosen
@@ -31,7 +39,8 @@ it
    matrix on each module slot), so the Q-span it tracks is the F-span of
    the chosen vectors and rank_F = rank_Q{theta^j v} / r; no field element
    is touched.  Since b bounds the ``count``-th minimum, the greedy scan
-   always completes unless the node budget ran out first.
+   always completes unless the node budget ran out first, and it stops
+   reading the ball at its ``count``-th witness.
 
 Containment used by the enumeration (Q is the Euclidean form, the sum of
 the squared embedding norms |x|_s^2 over all r embeddings):
@@ -57,12 +66,16 @@ keeps the looser ellipsoid.  The ellipsoid is enumerated at the radius
 bound * (1 + TOL) that the norm filter accepts.  T is unimodular whatever
 the rounding in its Gram-Schmidt data, so the reduced coordinates cover
 exactly the same lattice points; floating point only affects how well
-reduced T is.
+reduced T is.  The batch norm filter of step 4 and the order in which the
+ball is normed rest on one accuracy assumption: no batch norm exceeds the
+exact norm by a relative ``BATCH_MARGIN`` or more.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -285,11 +298,31 @@ def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
     memoized on the lattice."""
 
     def build():
-        t = lll_transform(lattice.euclid_gram)
+        t = lattice.memoized("lll", lambda: lll_transform(lattice.euclid_gram))
         gram = t.T @ lattice.euclid_gram @ t
         return t, (gram + gram.T) / 2
 
     return lattice.memoized("reduced", build)
+
+
+def share_reduction(lattice: NormedLattice, other: NormedLattice) -> bool:
+    """Give ``lattice`` the LLL basis T of ``other`` if its Euclidean Gram is
+    exactly ``other``'s times a power of two; whether it did.
+
+    Such a factor scales every float ``lll_transform`` computes from the
+    Gram (its entries and the squared lengths B_k) exactly and leaves the
+    mu_kj unchanged, so every rounding, swap and T would come out bit for
+    bit the same.  Over a totally complex field the weighted trace dual is
+    4 times the trace dual.
+    """
+    ratio = lattice.euclid_gram[0, 0] / other.euclid_gram[0, 0]
+    if math.frexp(ratio)[0] != 0.5 or not np.array_equal(
+        lattice.euclid_gram, ratio * other.euclid_gram
+    ):
+        return False
+    t = _reduce(other)[0]
+    lattice.memoized("lll", lambda: t)
+    return True
 
 
 def enumerate_below(
@@ -304,39 +337,45 @@ def enumerate_below(
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
-    hits = _candidates(lattice, norm, bound, budget)[0]
-    return [lattice.to_vector(z) for _, z in hits]
+    ball = _ball(lattice, norm, bound, budget)
+    return [lattice.to_vector(z) for _, z in ball.read(lattice, bound)]
 
 
-def _candidates(
-    lattice: NormedLattice, norm: Norm, bound: float, budget: int
-) -> tuple[list[tuple[float, tuple[int, ...]]], int]:
-    """Sorted (norm, z) pairs of the ball of radius ``bound``, and the node count.
+def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ball":
+    """The searched ball that holds the ball of radius ``bound``.
 
-    Memoized on the lattice under (norm, bound, budget), an exhausted
-    budget included: ``mu`` and ``lambda`` often ask for the same ball, and
-    so, on lattices sharing one memo, do the dual-bundle and trace-dual
-    profiles over Q.
+    The lattice's memo keeps, per norm and budget, the largest ball whose
+    search completed and the smallest radius whose search ran out of
+    budget.  A search's node count grows with its radius, so a radius at
+    or above an exhausted one is exhausted too, and a smaller one than a
+    completed ball's is answered by that ball.  Lattices sharing one memo
+    share their balls: over Q the dual-bundle and trace-dual profiles
+    search the same ones.
     """
     norm_key = norm if lattice.n_embeddings > 1 else "sup"  # one embedding: sup = sum
-    found = lattice.memoized(
-        ("candidates", norm_key, bound, budget), lambda: _search(lattice, norm, bound, budget)
-    )
-    if found is None:
-        raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
-    return found
+    ball_key, exhausted_key = ("ball", norm_key, budget), ("exhausted", norm_key, budget)
+    memo = lattice.memo
+    ball = memo.get(ball_key)
+    if ball is not None and bound <= ball.bound:
+        return ball
+    if bound < memo.get(exhausted_key, math.inf):
+        ball = _search(lattice, norm, bound, budget)
+        if ball is not None:
+            memo[ball_key] = ball
+            return ball
+        memo[exhausted_key] = bound
+    raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
 
 
 def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
-    """Enumerate and norm-filter for ``_candidates``; None if the budget runs out.
+    """The ``_Ball`` of radius ``bound``; None if the budget runs out.
 
     The enumeration runs on the reduced basis T; the candidates are mapped
     back to the lattice's own coordinates and signed there (highest nonzero
     coordinate positive).  One batched pass over all candidates discards
-    those clearly outside the ball; the few survivors are normed again one
-    at a time by ``sigma_norms``, so reported values, and the tie order
-    among unit multiples of equal norm, do not depend on the batch's
-    rounding.
+    those clearly outside the ball; the ball norms the survivors again one
+    at a time, so reported values, and the tie order among unit multiples
+    of equal norm, do not depend on the batch's rounding.
     """
     limit = bound * (1 + TOL)
     t, reduced_gram = _reduce(lattice)
@@ -349,13 +388,67 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
     xs = ys @ t.T
     last = xs.shape[1] - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)
     xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
-    hits = []
-    for z in xs[lattice.batch_norms(xs, norm) <= limit * (1 + BATCH_MARGIN)]:
-        value = aggregate(lattice.sigma_norms(z), norm)
-        if value <= limit:
-            hits.append((value, tuple(int(c) for c in z)))
-    hits.sort(key=lambda t: (t[0], t[1]))
-    return hits, nodes
+    batch = lattice.batch_norms(xs, norm)
+    keep = np.flatnonzero(batch <= limit * (1 + BATCH_MARGIN))
+    keep = keep[np.argsort(batch[keep], kind="stable")]
+    return _Ball(norm, bound, nodes, xs[keep], batch[keep].tolist())
+
+
+class _Ball:
+    """The points of one searched ball, normed exactly as readers reach them.
+
+    ``pending`` holds the candidates the batch filter kept, by nondecreasing
+    batch norm; ``normed`` of them have been normed by ``sigma_norms``.
+    Those inside the ball wait in ``heap`` by (norm, z) until every
+    candidate whose batch norm could hide an exact norm not above theirs is
+    normed, and then move to ``hits``, the (norm, z) pairs read so far in
+    the order of the whole ball.  The lattice is passed to each read rather
+    than kept, since the ball lives in the lattice's memo; any lattice
+    sharing that memo has the same forms and norms the same.  A lock keeps
+    concurrent readers from norming a candidate twice.
+    """
+
+    __slots__ = ("norm", "bound", "nodes", "pending", "batch", "normed", "heap", "hits", "lock")
+
+    def __init__(self, norm: Norm, bound: float, nodes: int, pending: np.ndarray, batch: list):
+        self.norm, self.bound, self.nodes = norm, bound, nodes
+        self.pending, self.batch, self.normed = pending, batch, 0
+        self.heap: list[tuple[float, tuple[int, ...]]] = []
+        self.hits: list[tuple[float, tuple[int, ...]]] = []
+        self.lock = threading.Lock()
+
+    def read(self, lattice: NormedLattice, bound: float):
+        """The (norm, z) pairs with norm <= bound * (1 + TOL), in (norm, z)
+        order, normed as the reader moves past them."""
+        limit = bound * (1 + TOL)
+        i = 0
+        while i < len(self.hits) or self._extend(lattice, i):
+            hit = self.hits[i]
+            if hit[0] > limit:
+                return
+            yield hit
+            i += 1
+
+    def _extend(self, lattice: NormedLattice, i: int) -> bool:
+        """Norm candidates until hit ``i`` is known; False if the ball has no more."""
+        limit = self.bound * (1 + TOL)
+        heap, batch, n = self.heap, self.batch, len(self.batch)
+        with self.lock:
+            while len(self.hits) <= i:
+                # a candidate whose batch norm exceeds v * (1 + BATCH_MARGIN)
+                # has an exact norm above v, the heap's least
+                while self.normed < n and (
+                    not heap or batch[self.normed] <= heap[0][0] * (1 + BATCH_MARGIN)
+                ):
+                    z = self.pending[self.normed]
+                    self.normed += 1
+                    value = aggregate(lattice.sigma_norms(z), self.norm)
+                    if value <= limit:
+                        heapq.heappush(heap, (value, tuple(int(c) for c in z)))
+                if not heap:
+                    return False
+                self.hits.append(heapq.heappop(heap))
+            return True
 
 
 class _RankTracker:
@@ -450,8 +543,10 @@ def successive_minima(
     Reduces the basis with LLL, takes a radius that the reduced basis
     proves to hold ``count`` independent vectors (see the module
     docstring), enumerates that ball once and selects witnesses greedily.
-    On budget exhaustion an empty, uncertified profile reports the nodes
-    visited.
+    A ball the lattice already searched at a larger radius, under the same
+    norm and budget, is read instead, and the profile reports that search's
+    nodes.  On budget exhaustion an empty, uncertified profile reports the
+    nodes visited.
     """
     max_k = lattice.max_f_rank if mode == "f-rank" else lattice.z_rank
     if not 1 <= count <= max_k:
@@ -461,7 +556,8 @@ def successive_minima(
     index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
     bound = float(basis_norms[index])
     try:
-        hits, nodes = _candidates(lattice, norm, bound, budget)
+        ball = _ball(lattice, norm, bound, budget)
+        hits, nodes = ball.read(lattice, bound), ball.nodes
     except BudgetExhausted:
         hits, nodes = [], budget
     chosen = _greedy_select(lattice, hits, count, mode)

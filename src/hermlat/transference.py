@@ -16,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,13 @@ from .duality import (
     trace_dual,
     transfer_vector,
 )
-from .minima import DEFAULT_BUDGET, BudgetExhausted, MinimaProfile, successive_minima
+from .minima import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    MinimaProfile,
+    share_reduction,
+    successive_minima,
+)
 from .numberfield import NumberField, duality_gap_constant
 
 SLACK_ANALYTIC = 1e-6
@@ -95,28 +101,42 @@ def bundle_digest(bundle: HermitianBundle) -> str:
 class BundleChecks:
     """Shared minima profiles for one bundle; lazily computed, memoized.
 
-    The lattices the profiles run on are built at most once each, and those
-    with equal forms share one memo of reductions and searched balls.  The
+    The lattices the profiles run on are built at most once each; those
+    with equal forms share one memo of reductions and searched balls, and
+    one whose Euclidean Gram is a power-of-two multiple of another's takes
+    that one's LLL basis.  ``statements`` names what the context will check
+    (every declared statement by default).  When those read both ``mu`` and
+    ``lambda``, ``lambda`` is computed first: ``mu``'s ball lies inside
+    ``lambda``'s (same lattice, same sup norm, smaller proven radius), so
+    ``mu`` reads a prefix of that ball instead of searching its own.  The
     bundle and its derived lattices are immutable; the only mutations are
     the internal cache and the lattice memos, which are only filled during
     single-threaded checks.
     """
 
-    def __init__(self, bundle: HermitianBundle, budget: int = DEFAULT_BUDGET):
+    def __init__(self, bundle: HermitianBundle, budget: int = DEFAULT_BUDGET,
+                 statements: Iterable[str] | None = None):
         self.bundle = bundle
         self.nf = bundle.nf
         self.budget = budget
         self.digest = bundle_digest(bundle)
         self._profiles: dict[str, MinimaProfile] = {}
         self._lattices: list[NormedLattice] = []
+        names = DECLARED if statements is None else statements
+        reads = {key for name in names for key in READS[name]}
+        self._lambda_first = {"mu", "lambda"} <= reads
 
     def _shared(self, lattice: NormedLattice) -> NormedLattice:
         """The lattice, with the memo of an earlier lattice of this context
-        that has the same forms: over Q the dual bundle and the trace dual
-        coincide, so their minima profiles search the same balls."""
+        that has the same forms (over Q the dual bundle and the trace dual
+        coincide, so their minima profiles search the same balls), or else
+        with the LLL basis of one whose Gram it is a power-of-two multiple of."""
         for other in self._lattices:
             if np.array_equal(other.forms, lattice.forms):
                 return replace(lattice, memo=other.memo)
+        for other in self._lattices:
+            if share_reduction(lattice, other):
+                break
         self._lattices.append(lattice)
         return lattice
 
@@ -139,6 +159,8 @@ class BundleChecks:
     def profile(self, key: str) -> MinimaProfile:
         """The minima profile named ``key`` in ``PROFILES``, computed once."""
         if key not in self._profiles:
+            if key == "mu" and self._lambda_first:
+                self.profile("lambda")
             attr, mode, norm = PROFILES[key]
             lat = getattr(self, attr)
             count = lat.max_f_rank if mode == "f-rank" else lat.z_rank
@@ -161,7 +183,7 @@ def _searched(search, nf: NumberField, budget: int) -> tuple:
 def _prepare(name: str, source, k: int, slack: float | None = None):
     """The BundleChecks of ``source`` (a bundle or a BundleChecks) and the declared slack
     of statement ``name`` unless overridden; ValueError for k outside its declared range."""
-    ctx = source if isinstance(source, BundleChecks) else BundleChecks(source)
+    ctx = source if isinstance(source, BundleChecks) else BundleChecks(source, statements=[name])
     _, indices, declared = DECLARED[name]
     ks = indices(ctx.bundle.rank, ctx.nf.degree)
     if k not in ks:
@@ -378,11 +400,19 @@ STATEMENTS = {
 # every statement: check_all's, and the comparison whose report is a DualMinimaReport
 DECLARED = {**STATEMENTS,
             "dual-minima": (dual_minima_comparison, lambda n, r: range(1, n + 1), SLACK_ANALYTIC)}
+# statement -> the profiles its checker reads
+READS = {
+    "sandwich": ("mu", "mu_star"),
+    "polar": ("lambda", "lambda_vee"),
+    "index": ("mu", "lambda"),
+    "chain": tuple(PROFILES),
+    "dual-minima": ("mu_star", "mu_vee"),
+}
 
 
 def check_all(bundle: HermitianBundle, budget: int = DEFAULT_BUDGET) -> list[TheoremReport]:
     """Run every checker of ``STATEMENTS`` at every valid index for one bundle."""
-    ctx = BundleChecks(bundle, budget)
+    ctx = BundleChecks(bundle, budget, STATEMENTS)
     n, r = bundle.rank, bundle.nf.degree
     return [check(ctx, k) for check, indices, _ in STATEMENTS.values() for k in indices(n, r)]
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from hermlat import (
+    BudgetExhausted,
     build_field,
     codifferent_covolume,
     different_lattice,
     dual_minima_comparison,
+    load_field,
     make_bundle,
     minkowski_codifferent_bound,
     minkowski_codifferent_vector,
@@ -18,7 +20,7 @@ from hermlat import (
     transfer_vector,
     unit_ball_volume,
 )
-from conftest import identity_bundle
+from conftest import FIXDIR, identity_bundle
 
 
 def test_trace_module_q(field_q):
@@ -198,6 +200,20 @@ def test_transfer_vector_values(field_q, field_qi, field_sqrt2, field_sqrt_minus
     assert abs(lg - 0.5 * math.log(8)) <= 1e-9  # 2*sqrt(2), weights 1
     _, lg = transfer_vector(field_sqrt_minus3)
     assert abs(lg - math.log(math.sqrt(3) / 2)) <= 1e-9
+
+
+@pytest.mark.parametrize("search", [transfer_vector, minkowski_codifferent_vector])
+def test_field_vector_search_keeps_its_node_count(search):
+    # over zeta5 each search needs 24 nodes; once a default-budget call has
+    # memoized the vector, a smaller budget still raises, as on a fresh field
+    nf = load_field(FIXDIR / "field_zeta5.json")
+    with pytest.raises(BudgetExhausted):
+        search(nf, 23)
+    found = search(nf)
+    assert search(nf, 24) == found
+    for budget in (10, 23):
+        with pytest.raises(BudgetExhausted):
+            search(nf, budget)
 
 
 def test_dual_minima_comparison_q_trivial(field_q):

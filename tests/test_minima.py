@@ -617,8 +617,10 @@ def test_enumerate_ellipsoid_leaves_no_garbage():
         gc.enable()
 
 
-def test_each_ball_enumerated_once(monkeypatch, field_q):
-    from hermlat.transference import BundleChecks, random_bundle
+def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_minus3, field_zeta5):
+    from hermlat import transference
+    from hermlat.duality import transfer_vector
+    from hermlat.transference import BundleChecks, check_all, random_bundle
 
     calls = []
 
@@ -641,6 +643,137 @@ def test_each_ball_enumerated_once(monkeypatch, field_q):
     assert sorted(calls) == ["enumerate_ellipsoid"] * 2 + ["lll_transform"] * 2
     assert profiles["mu"].nodes == profiles["lambda"].nodes
     assert profiles["mu_star"].nodes == profiles["lambda_vee"].nodes == profiles["mu_vee"].nodes
+
+    # over zeta5, check_all reduces the weighted trace dual with the trace
+    # dual's T (its forms are 4 times theirs), and mu reads a prefix of
+    # lambda's ball: 3 reductions and 4 searches for 4 lattices and 5 profiles
+    contexts = []
+
+    class Captured(BundleChecks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(transference, "BundleChecks", Captured)
+    bundle = random_bundle(field_zeta5, 2, np.random.default_rng(1))
+    transfer_vector(field_zeta5)  # the field's own search, memoized before counting
+    calls.clear()
+    check_all(bundle)
+    assert sorted(calls) == ["enumerate_ellipsoid"] * 4 + ["lll_transform"] * 3
+    (ctx,) = contexts
+    mu, lam = ctx.profile("mu"), ctx.profile("lambda")
+    assert mu.nodes == lam.nodes  # the search mu's ball was read from
+    alone = successive_minima(restrict_scalars(bundle), bundle.rank, "f-rank", "sup")
+    assert alone.nodes < mu.nodes
+    assert mu.values == alone.values
+    assert [w.z_coords for w in mu.witnesses] == [w.z_coords for w in alone.witnesses]
+    assert (mu.radius_used, mu.certified) == (alone.radius_used, alone.certified)
+
+    for nf in (field_qi, field_sqrt_minus3, field_zeta5):
+        ctx = BundleChecks(random_bundle(nf, 2, np.random.default_rng(1)))
+        weighted = ctx.weighted
+        assert weighted.memo is not ctx.tdual.memo
+        assert np.array_equal(weighted.euclid_gram, 4 * ctx.tdual.euclid_gram)
+        t = minima._reduce(weighted)[0]
+        assert t is minima._reduce(ctx.tdual)[0]
+        assert np.array_equal(t, lll_transform(weighted.euclid_gram))
+
+
+def eager_ball(lat, norm, bound):
+    """The ball of radius ``bound`` built eagerly: every candidate of the
+    ellipsoid the engine searches, normed by ``sigma_norms``, kept within
+    the engine's tolerance and sorted by (norm, z)."""
+    limit = bound * (1 + minima.TOL)
+    t = lll_transform(lat.euclid_gram)
+    gram = t.T @ lat.euclid_gram @ t
+    radius_sq = minima._radius_sq_factor(lat, norm) * limit * limit
+    ys, _ = enumerate_ellipsoid((gram + gram.T) / 2, radius_sq, DEFAULT_BUDGET)
+    hits = []
+    for z in ys @ t.T:
+        z = _canonical(tuple(int(c) for c in z))
+        value = minima.aggregate(lat.sigma_norms(np.array(z)), norm)
+        if value <= limit:
+            hits.append((value, z))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "name,rank,keys",
+    [("gaussian", 8, ("lambda_vee",)), ("zeta5", 2, None), ("zeta5", 3, None),
+     ("sqrt2", 2, None), ("q", 3, None)],
+)
+def test_lazy_order_matches_eager_reference(name, rank, keys):
+    # unit multiples (i x over Q(i), zeta x over Q(zeta5)) have equal norms,
+    # so these balls are full of ties that only z orders
+    from hermlat import shipped_field
+    from hermlat.transference import PROFILES, BundleChecks, random_bundle
+
+    bundle = random_bundle(shipped_field(name), rank, np.random.default_rng(1))
+    for key in keys or PROFILES:
+        attr, mode, norm = PROFILES[key]
+        lat = getattr(BundleChecks(bundle), attr)
+        count = lat.max_f_rank if mode == "f-rank" else lat.z_rank
+        prof = successive_minima(lat, count, mode, norm)
+        ref = eager_ball(lat, norm, prof.radius_used)
+        if name in ("gaussian", "zeta5"):
+            assert any(a[0] == b[0] for a, b in zip(ref, ref[1:]))
+        # the prefix the greedy scan read, up to its last witness
+        ball = minima._ball(lat, norm, prof.radius_used, DEFAULT_BUDGET)
+        read = list(ball.hits)
+        assert read == ref[: len(read)]
+        witnesses = [w.z_coords for w in prof.witnesses]
+        assert read[-1][1] == witnesses[-1]
+        assert [z for _, z in read if z in set(witnesses)] == witnesses
+        assert prof.values == tuple(math.log(v) for v, z in read if z in set(witnesses))
+        # the whole ball, after that partial read and on a fresh lattice
+        for fresh in (lat, getattr(BundleChecks(bundle), attr)):
+            ball = [v.z_coords for v in enumerate_below(fresh, norm, prof.radius_used)]
+            assert ball == [z for _, z in ref]
+
+
+def test_lazy_ball_norms_only_what_is_read(field_zeta5):
+    from hermlat.transference import random_bundle
+
+    lat = restrict_scalars(random_bundle(field_zeta5, 3, np.random.default_rng(1)))
+    prof = successive_minima(lat, lat.z_rank, "q-rank", "sup")
+    ball = minima._ball(lat, "sup", prof.radius_used, DEFAULT_BUDGET)
+    assert len(ball.hits) < ball.normed < len(ball.batch)
+    # a smaller radius of the same norm and budget reads a prefix of this ball
+    mu = successive_minima(lat, 3, "f-rank", "sup")
+    assert mu.radius_used < prof.radius_used and mu.nodes == prof.nodes
+    assert minima._ball(lat, "sup", mu.radius_used, DEFAULT_BUDGET) is ball
+
+
+def test_lazy_ball_concurrent_readers(field_qi):
+    import sys
+    import threading
+
+    from hermlat.transference import random_bundle
+
+    bundle = random_bundle(field_qi, 8, np.random.default_rng(1))
+    bound = successive_minima(trace_dual(bundle), 16, "q-rank", "sum").radius_used
+    expected = [v.z_coords for v in enumerate_below(trace_dual(bundle), "sum", bound)]
+    lat = trace_dual(bundle)
+    minima._ball(lat, "sum", bound, DEFAULT_BUDGET)  # searched, nothing normed yet
+    start = threading.Barrier(8)
+    results = []
+
+    def read():
+        start.wait(timeout=30)
+        results.append([v.z_coords for v in enumerate_below(lat, "sum", bound)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
 
 
 def test_enumerate_budget_raises(field_q):

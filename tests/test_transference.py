@@ -18,7 +18,7 @@ from hermlat import (
     random_bundle,
 )
 from hermlat.reports import render_report
-from hermlat.transference import DECLARED
+from hermlat.transference import DECLARED, READS
 
 from conftest import FIXDIR, identity_bundle
 
@@ -102,6 +102,26 @@ def test_declared_k_range(name, field, n, all_fields):
     for k in (lo - 1, hi + 1):
         with pytest.raises(ValueError):
             check(ctx, k)
+
+
+@pytest.mark.parametrize("name", list(DECLARED))
+def test_reads_names_the_profiles_each_checker_reads(name, field_zeta5):
+    # READS decides whether lambda is computed before mu, so it must name
+    # exactly what each checker reads
+    check, indices, _ = DECLARED[name]
+    ctx = BundleChecks(random_bundle(field_zeta5, 2, np.random.default_rng(1)), statements=[name])
+    check(ctx, indices(2, 4)[0])
+    assert set(ctx._profiles) == set(READS[name])
+
+
+def test_mu_reads_lambdas_ball_when_the_run_reads_both(field_zeta5):
+    bundle = random_bundle(field_zeta5, 2, np.random.default_rng(1))
+    alone = BundleChecks(bundle, statements=["sandwich"]).profile("mu")
+    both = BundleChecks(bundle, statements=["sandwich", "polar"])
+    mu = both.profile("mu")
+    assert "lambda" in both._profiles
+    assert alone.nodes < mu.nodes == both.profile("lambda").nodes
+    assert (alone.values, alone.radius_used) == (mu.values, mu.radius_used)
 
 
 def test_index_comparison_bounds(field_qi):
