@@ -11,8 +11,8 @@ lattices of ``hermlat.duality``.
 
 Everything is immutable after construction, apart from a lattice's memo of
 deterministic derived data; concurrent reads are safe.  The memo's balls
-(``hermlat.minima``) are normed as they are read, under a lock of their
-own.
+(``hermlat.minima``) are normed in stacked chunks as they are read, under
+a lock of their own.
 """
 
 from __future__ import annotations
@@ -170,9 +170,19 @@ class NormedLattice:
 
     def sigma_norms(self, z: np.ndarray) -> np.ndarray:
         """All embedding norms of an integer coordinate vector."""
-        x = np.asarray(z, dtype=float)
-        vals = np.array([x @ p @ x for p in self.forms])
-        return np.sqrt(np.maximum(vals, 0.0))
+        return self.exact_norms(np.asarray(z)[None])[0]
+
+    def exact_norms(self, zs: np.ndarray) -> np.ndarray:
+        """All embedding norms of the rows of zs, as an (m, r) array.
+
+        Each (row, form) pair is one vector-matrix and one dot product, the
+        BLAS calls of ``x @ p @ x`` on its own, so a row's norms are the
+        same bits whatever rows it is stacked with.
+        """
+        xs = np.ascontiguousarray(zs, dtype=float)
+        y = xs[:, None, None, :] @ self.forms[None]
+        sq = (y @ xs[:, None, :, None])[..., 0, 0]
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def batch_norms(self, xs: np.ndarray, norm: str) -> np.ndarray:
         """Aggregated ("sup" or "sum") norms of the rows of xs, all embeddings in one pass."""
@@ -227,11 +237,10 @@ def restrict_scalars(bundle: HermitianBundle) -> NormedLattice:
     nf = bundle.nf
     n, r = bundle.rank, nf.degree
     forms = []
-    for s in range(r):
+    for s, row in enumerate(nf.basis_embeddings):
         a = np.zeros((n, n * r), dtype=complex)
         for j in range(n):
-            for i in range(r):
-                a[j, j * r + i] = complex(nf.integral_basis[i].embed(s))
+            a[j, j * r : (j + 1) * r] = row
         p = a.conj().T @ bundle.grams[s] @ a
         forms.append(np.real(p + p.conj().T) / 2)  # x real => x^T Re(P) x = |x|^2_sigma
     stacked, gram = stack_forms(forms, nf.conj_index, "restricted lattice")

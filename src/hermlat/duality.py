@@ -177,7 +177,7 @@ def codifferent_covolume(nf: NumberField) -> float:
     """
     tm = trace_module(nf)
     r = nf.degree
-    b_rows = [np.array([b.embed(s) for b in nf.integral_basis]) for s in range(r)]
+    b_rows = [np.array(row) for row in nf.basis_embeddings]
     c_rows = [np.array([c.embed(s) for c in tm.codifferent_basis]) for s in range(r)]
     g_ref = np.zeros((r, r), dtype=complex)
     g_w = np.zeros((r, r), dtype=complex)
@@ -329,8 +329,7 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
     # holds sigma_s of the integral basis in columns j*r .. j*r+r-1) into
     # the square change of coordinates
     a = np.zeros((zr, zr), dtype=complex)
-    for s in range(r):
-        row = [complex(b.embed(s)) for b in nf.integral_basis]
+    for s, row in enumerate(nf.basis_embeddings):
         for j in range(n):
             a[s * n + j, j * r : (j + 1) * r] = row
     try:

@@ -27,9 +27,11 @@ it
 4. maps the candidates back through T, puts their signs in the original
    coordinates (highest nonzero coordinate positive), norms them all in
    one batch and keeps those the batch puts within ``BATCH_MARGIN`` of
-   the ball, sorted by their batch norm.  Each one is normed again on its
-   own by ``sigma_norms`` only when a reader reaches it, and a hit of
-   norm v is handed out only once every candidate of batch norm at most
+   the ball, sorted by their batch norm.  They are normed again exactly
+   by ``exact_norms`` only as readers reach them, in chunks that double
+   in size (16, 16, 32, 64, ... candidates); each row's exact norms are
+   the bits ``sigma_norms`` gives it alone.  A hit of norm v is handed
+   out only once every candidate of batch norm at most
    v * (1 + BATCH_MARGIN) is normed, so readers see the exact
    (norm, z) order of the whole ball however little of it they read;
 5. picks witnesses greedily by nondecreasing (norm, z) with exact
@@ -86,8 +88,14 @@ from .bundles import BundleVector, NormedLattice
 TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
 # The batch norm filter passes vectors up to this relative margin above the
-# bound; the survivors are normed again one at a time and filtered exactly.
+# bound; the survivors are normed again exactly, a chunk at a time as the
+# ball is read, and filtered on their exact norms.
 BATCH_MARGIN = 1e-6
+# Size of the first chunk of batch survivors a ball norms exactly; each
+# later chunk is as large as all before it together, so a read that needs
+# the first k survivors normed norms at most max(16, 2k) of them, in
+# O(log k) stacked calls.
+_NORM_CHUNK = 16
 
 LLL_DELTA = 0.99
 # Ends the reduction if rounding makes it cycle; T stays unimodular at any exit.
@@ -119,13 +127,15 @@ class MinimaProfile:
     nodes: int
 
     def __post_init__(self):
-        assert all(a <= b + TOL for a, b in zip(self.values, self.values[1:])), (
-            "minima must be nondecreasing"
-        )
+        if not all(a <= b + TOL for a, b in zip(self.values, self.values[1:])):
+            raise ValueError(f"minima must be nondecreasing, got {self.values}")
 
 
-def aggregate(norms: np.ndarray, norm: Norm) -> float:
-    return float(norms.max()) if norm == "sup" else float(norms.sum())
+def aggregate(norms: np.ndarray, norm: Norm) -> float | np.ndarray:
+    """The sup or sum of per-embedding norms along the last axis: a float for
+    one vector's norms, an array for the rows of ``exact_norms``."""
+    out = norms.max(axis=-1) if norm == "sup" else norms.sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def enumerate_ellipsoid(
@@ -373,8 +383,8 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
     The enumeration runs on the reduced basis T; the candidates are mapped
     back to the lattice's own coordinates and signed there (highest nonzero
     coordinate positive).  One batched pass over all candidates discards
-    those clearly outside the ball; the ball norms the survivors again one
-    at a time, so reported values, and the tie order among unit multiples
+    those clearly outside the ball; the ball norms the survivors again
+    exactly, so reported values, and the tie order among unit multiples
     of equal norm, do not depend on the batch's rounding.
     """
     limit = bound * (1 + TOL)
@@ -398,7 +408,9 @@ class _Ball:
     """The points of one searched ball, normed exactly as readers reach them.
 
     ``pending`` holds the candidates the batch filter kept, by nondecreasing
-    batch norm; ``normed`` of them have been normed by ``sigma_norms``.
+    batch norm; the first ``normed`` of them have been normed by
+    ``exact_norms``, one stacked call per chunk of max(``_NORM_CHUNK``,
+    ``normed``) candidates, so a short read norms little of a large ball.
     Those inside the ball wait in ``heap`` by (norm, z) until every
     candidate whose batch norm could hide an exact norm not above theirs is
     normed, and then move to ``hits``, the (norm, z) pairs read so far in
@@ -440,11 +452,13 @@ class _Ball:
                 while self.normed < n and (
                     not heap or batch[self.normed] <= heap[0][0] * (1 + BATCH_MARGIN)
                 ):
-                    z = self.pending[self.normed]
-                    self.normed += 1
-                    value = aggregate(lattice.sigma_norms(z), self.norm)
-                    if value <= limit:
-                        heapq.heappush(heap, (value, tuple(int(c) for c in z)))
+                    start = self.normed
+                    self.normed = min(n, start + max(_NORM_CHUNK, start))
+                    zs = self.pending[start : self.normed]
+                    values = aggregate(lattice.exact_norms(zs), self.norm)
+                    for value, z in zip(values.tolist(), zs.tolist()):
+                        if value <= limit:
+                            heapq.heappush(heap, (value, tuple(z)))
                 if not heap:
                     return False
                 self.hits.append(heapq.heappop(heap))

@@ -167,6 +167,13 @@ class NumberField:
             self.memo[key] = build()
         return self.memo[key]
 
+    @property
+    def basis_embeddings(self) -> tuple[tuple[complex, ...], ...]:
+        """Row s holds the integral basis elements under embedding s."""
+        return self.memoized("basis_embeddings", lambda: tuple(
+            tuple(b.embed(s) for b in self.integral_basis) for s in range(self.degree)
+        ))
+
     def combine(self, basis: Sequence[FieldElement], coords: Sequence) -> FieldElement:
         """The element sum_i coords[i] * basis[i], exactly."""
         acc = self.zero()

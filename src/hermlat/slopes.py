@@ -99,7 +99,8 @@ class SlopeProfile:
     slopes: tuple[float, ...]
 
     def __post_init__(self):
-        assert all(a >= b - 1e-12 for a, b in zip(self.slopes, self.slopes[1:]))
+        if not all(a >= b - 1e-12 for a, b in zip(self.slopes, self.slopes[1:])):
+            raise ValueError(f"slopes must be nonincreasing, got {self.slopes}")
 
 
 def diagonal_slopes(diag: DiagonalBundle) -> SlopeProfile:

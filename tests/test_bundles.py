@@ -36,6 +36,36 @@ def test_make_bundle_diagonal_norms(field_q):
     assert math.isclose(lat.sigma_norms(np.array([0, 1]))[0], 0.5)
 
 
+def test_exact_norms_bit_identical_per_row(all_fields):
+    # each row's stacked norms are the bits of the row normed alone and of
+    # the plain sqrt(max(x @ p @ x, 0)), whatever the chunk and its layout
+    from hermlat import build_field, minima
+    from hermlat.transference import BundleChecks, random_bundle
+
+    rng = np.random.default_rng(3)
+    fields = {**all_fields, "zeta7": build_field([1, 1, 1, 1, 1, 1, 1])}
+    for name, nf in fields.items():
+        ctx = BundleChecks(random_bundle(nf, 2, np.random.default_rng(1)))
+        for lat in (ctx.primal, ctx.tdual, ctx.weighted):
+            wide = rng.integers(-4, 5, size=(200, 2 * lat.z_rank))
+            zs = wide[:, ::2]  # int64, not contiguous
+            assert not zs.flags.c_contiguous
+            for m in (1, 2, 17, 200):
+                stacked = lat.exact_norms(zs[:m])
+                assert stacked.shape == (m, lat.n_embeddings)
+                for norm in ("sup", "sum"):
+                    rows = minima.aggregate(stacked, norm)
+                    assert type(minima.aggregate(stacked[0], norm)) is float
+                    for i in range(m):
+                        assert rows[i] == minima.aggregate(stacked[i], norm)
+                for i in range(m):
+                    x = zs[i].astype(float)
+                    plain = np.sqrt(np.maximum([x @ p @ x for p in lat.forms], 0.0))
+                    assert np.array_equal(stacked[i], lat.exact_norms(zs[i : i + 1])[0]), name
+                    assert np.array_equal(stacked[i], plain), name
+                    assert np.array_equal(lat.sigma_norms(zs[i]), plain), name
+
+
 def test_non_hermitian_rejected(field_q):
     with pytest.raises(BundleError):
         make_bundle(field_q, 2, [np.array([[1.0, 1.0], [0.0, 1.0]])])

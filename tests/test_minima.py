@@ -731,17 +731,26 @@ def test_lazy_order_matches_eager_reference(name, rank, keys):
             assert ball == [z for _, z in ref]
 
 
-def test_lazy_ball_norms_only_what_is_read(field_zeta5):
-    from hermlat.transference import random_bundle
+def test_lazy_ball_norms_only_what_is_read(field_zeta5, field_qi):
+    from hermlat.transference import BundleChecks, random_bundle
 
     lat = restrict_scalars(random_bundle(field_zeta5, 3, np.random.default_rng(1)))
     prof = successive_minima(lat, lat.z_rank, "q-rank", "sup")
     ball = minima._ball(lat, "sup", prof.radius_used, DEFAULT_BUDGET)
-    assert len(ball.hits) < ball.normed < len(ball.batch)
+    assert (len(ball.hits), ball.normed, len(ball.batch)) == (14, 16, 75)
     # a smaller radius of the same norm and budget reads a prefix of this ball
     mu = successive_minima(lat, 3, "f-rank", "sup")
     assert mu.radius_used < prof.radius_used and mu.nodes == prof.nodes
     assert minima._ball(lat, "sup", mu.radius_used, DEFAULT_BUDGET) is ball
+
+    # the gaussian N=12 lambda_vee ball keeps tens of thousands of batch
+    # survivors; its greedy scan reads a few dozen, and only the chunks
+    # holding those are normed
+    ctx = BundleChecks(random_bundle(field_qi, 12, np.random.default_rng(1)))
+    prof = ctx.profile("lambda_vee")
+    ball = minima._ball(ctx.tdual, "sum", prof.radius_used, DEFAULT_BUDGET)
+    assert len(ball.batch) > 10_000
+    assert len(ball.hits) < ball.normed <= 64
 
 
 def test_lazy_ball_concurrent_readers(field_qi):
@@ -774,6 +783,14 @@ def test_lazy_ball_concurrent_readers(field_qi):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 8
+
+
+def test_minima_profile_rejects_decreasing_values():
+    fields = dict(witnesses=(), mode="q-rank", norm="sup", radius_used=1.0, certified=True,
+                  nodes=0)
+    assert minima.MinimaProfile(values=(0.0, 0.0, 1.0), **fields).values == (0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        minima.MinimaProfile(values=(0.5, 0.0), **fields)
 
 
 def test_enumerate_budget_raises(field_q):

@@ -6,6 +6,7 @@ import pytest
 from hermlat import (
     BundleError,
     NotDiagonalError,
+    SlopeProfile,
     as_diagonal,
     check_minima_slope_bound,
     check_slope_duality,
@@ -45,6 +46,12 @@ def test_diagonal_slopes_sorted(field_q):
     slopes = diagonal_slopes(diag).slopes
     assert math.isclose(slopes[0], math.log(2))
     assert math.isclose(slopes[1], -math.log(2))
+
+
+def test_slope_profile_rejects_increasing_slopes():
+    assert SlopeProfile((1.0, 1.0, -1.0)).slopes == (1.0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        SlopeProfile((0.0, 0.5))
 
 
 def test_diagonal_slopes_gaussian(field_qi):
