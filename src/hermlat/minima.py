@@ -79,6 +79,7 @@ import heapq
 import math
 import threading
 from dataclasses import dataclass
+from operator import mul
 from typing import Literal, Sequence
 
 import numpy as np
@@ -242,6 +243,13 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
     themselves are exact integer column operations, so T is unimodular
     whatever the rounding.  On return T^T gram T satisfies |mu_kj| <= 1/2
     and B_k >= (LLL_DELTA - mu_(k,k-1)^2) B_(k-1).
+
+    The Gram-Schmidt sums are accumulated left to right with plain float
+    additions of the products (mu_ji * mu_ki) * B_i, so T, and with it every
+    search statistic, is the same on every supported interpreter.  They
+    must not be taken with ``sum()``, which Python 3.12 made compensated,
+    nor with ``math.fsum`` or ``np.dot``: each rounds differently, and a
+    different rounding changes T on some Grams.
     """
     n = gram.shape[0]
     g = [[float(v) for v in row] for row in gram]  # Gram of the current basis
@@ -253,12 +261,23 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
         mk, gk = mu[k], g[k]
         for j in range(k):
             mj = mu[j]
-            mk[j] = (gk[j] - sum(mj[i] * mk[i] * b[i] for i in range(j))) / b[j]
-        b[k] = gk[k] - sum(mk[j] * mk[j] * b[j] for j in range(k))
+            s = 0.0
+            for i in range(j):
+                s += mj[i] * mk[i] * b[i]
+            mk[j] = (gk[j] - s) / b[j]
+        s = 0.0
+        for j in range(k):
+            s += mk[j] * mk[j] * b[j]
+        b[k] = gk[k] - s
         for l in range(k - 1, -1, -1):
             q = round(mk[l])
             if q:
-                _subtract_basis_vector(g, t, k, l, q)
+                # basis vector k -= q * basis vector l, in T and in g
+                t[k] = [x - q * y for x, y in zip(t[k], t[l])]
+                gk = g[k] = [x - q * y for x, y in zip(gk, g[l])]
+                gk[k] -= q * gk[l]
+                for row, x in zip(g, gk):
+                    row[k] = x
                 ml = mu[l]
                 mk[l] -= q
                 for i in range(l):
@@ -275,18 +294,6 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
         else:
             k += 1
     return np.array(t, dtype=np.int64).T
-
-
-def _subtract_basis_vector(g: list, t: list, k: int, l: int, q: int) -> None:
-    """Basis vector k -= q * basis vector l, in T and in the Gram matrix g."""
-    t[k] = [a - q * c for a, c in zip(t[k], t[l])]
-    gk, gl = g[k], g[l]
-    for j in range(len(gk)):
-        gk[j] -= q * gl[j]
-    gk[k] -= q * gk[l]
-    for j, row in enumerate(g):
-        if j != k:
-            row[k] = gk[j]
 
 
 def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
@@ -469,33 +476,33 @@ class _RankTracker:
     """Incremental exact rank over Q of integer vectors, fraction-free.
 
     Stored rows are in echelon form, each with its own pivot column and
-    zeros at the pivots of the rows before it.  With ``action`` (an integer
-    r x r matrix applied to each block of r coordinates), a vector that
-    extends the span is stored together with its images under action^1 ..
-    action^(r-1), so the span held is closed under the action.
+    zeros at the pivots of the rows before it; each is kept as (pivot,
+    pivot entry, row).  A vector is reduced against the rows in order by
+    v <- a v - c row, with a the cached pivot entry and c = v[pivot], and
+    no gcd is taken on the way.  Only a vector that extends the span is
+    divided by the gcd of its entries, once, when it is stored, so every
+    stored row is primitive.  With ``action`` (an integer r x r matrix
+    applied to each block of r coordinates), a vector that extends the
+    span is stored together with its images under action^1 .. action^(r-1),
+    so the span held is closed under the action.
     """
 
     def __init__(self, action: Sequence[Sequence[int]] | None = None):
         self.action = action
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
-
-    def _residue(self, v: list[int]) -> list[int]:
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                a = row[pivot]
-                v = [a * x - c * y for x, y in zip(v, row)]
-                g = math.gcd(*v)
-                if g > 1:
-                    v = [x // g for x in v]
-        return v
+        self.rows: list[tuple[int, int, list[int]]] = []  # (pivot, pivot entry, row)
 
     def _store(self, v: list[int]) -> bool:
-        v = self._residue(v)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        for pivot, a, row in self.rows:
+            c = v[pivot]
+            if c:
+                v = [a * x - c * y for x, y in zip(v, row)]
+        if not any(v):
             return False
-        self.rows.append((pivot, v))
+        g = math.gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        pivot = v.index(next(filter(None, v)))  # first nonzero entry
+        self.rows.append((pivot, v[pivot], v))
         return True
 
     def _act(self, v: list[int]) -> list[int]:
@@ -503,12 +510,12 @@ class _RankTracker:
         out = []
         for j in range(0, len(v), r):
             block = v[j : j + r]
-            out.extend(sum(a * x for a, x in zip(row, block)) for row in self.action)
+            out.extend(sum(map(mul, row, block)) for row in self.action)
         return out
 
     def try_extend(self, z: Sequence[int]) -> bool:
         """Whether z extends the span; if so it is added (with its images)."""
-        v = [int(c) for c in z]
+        v = list(map(int, z))
         if not self._store(v):
             return False
         if self.action is not None:

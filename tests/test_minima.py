@@ -14,9 +14,10 @@ import math
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from hermlat import (
     DEFAULT_BUDGET,
@@ -27,6 +28,8 @@ from hermlat import (
     exact_rank,
     make_bundle,
     restrict_scalars,
+    shipped_field,
+    shipped_field_names,
     successive_minima,
     trace_dual,
     vector_from_f_coords,
@@ -62,25 +65,29 @@ def _canonical(z):
 
 
 def _sympy_q_rank(rows):
-    return sympy.Matrix([list(r) for r in rows]).rank()
+    rows = [[int(c) for c in row] for row in rows]
+    return DomainMatrix.from_list(rows, ZZ).rank() if rows else 0
+
+
+def _theta_multiples(lattice, zs):
+    """Power-basis coordinates of theta^j v (j < r) for each module vector v,
+    every row scaled to integers; their Q-span is the F-span of the v."""
+    nf = lattice.nf
+    theta = nf.theta()
+    expanded = []
+    for z in zs:
+        mult = list(lattice.f_components(z))
+        for _ in range(nf.degree):
+            row = [c for x in mult for c in x.coords]
+            d = math.lcm(*(c.denominator for c in row))
+            expanded.append([int(c * d) for c in row])
+            mult = [theta * x for x in mult]
+    return expanded
 
 
 def _sympy_f_rank(lattice, zs):
     """rank_F of module vectors via rank_Q of their theta-multiples."""
-    nf = lattice.nf
-    r = nf.degree
-    theta = nf.theta()
-    expanded = []
-    for z in zs:
-        comps = lattice.f_components(z)
-        mult = list(comps)
-        for _ in range(r):
-            row = []
-            for x in mult:
-                row.extend(x.coords)
-            expanded.append(row)
-            mult = [theta * x for x in mult]
-    return sympy.Matrix(expanded).rank() // r
+    return _sympy_q_rank(_theta_multiples(lattice, zs)) // lattice.nf.degree
 
 
 def box_oracle(lattice, count, mode, norm):
@@ -211,6 +218,57 @@ def test_exact_rank_bound(field_sqrt2, all_fields):
                 zs = [x.z_coords for x in family]
                 assert exact_rank(family, "q-rank") == _sympy_q_rank(zs)
                 assert exact_rank(family, "f-rank") == _sympy_f_rank(lat, zs)
+
+
+@st.composite
+def rank_families(draw):
+    """(lattice or None, family): integer vectors of length at most 24 with
+    entries up to 10^6, each drawn fresh or built as a * v + b * theta^e w
+    from two earlier members (e = 0 without a field), so that families
+    carry Q- and F-dependencies with large coefficients."""
+    big = st.integers(-(10**6), 10**6)
+    name = draw(st.sampled_from([None, *shipped_field_names(), "eis"]))
+    if name is None:
+        lat, r = None, 1
+        dim = n = draw(st.integers(1, 24))
+    else:
+        nf = eisenstein_field() if name == "eis" else shipped_field(name)
+        r = nf.degree
+        dim = draw(st.integers(1, 24 // r))
+        bundle = identity_bundle(nf, dim)
+        lat = restrict_scalars(bundle)
+        n = lat.z_rank
+    family = []
+    for _ in range(draw(st.integers(1, dim + 3))):
+        if family and draw(st.booleans()):
+            v, w = draw(st.sampled_from(family)), draw(st.sampled_from(family))
+            a, b = draw(big), draw(big)
+            e = draw(st.integers(0, r - 1))
+            if e:
+                comps = lat.f_components(w)
+                for _ in range(e):
+                    comps = [nf.theta() * x for x in comps]
+                w = vector_from_f_coords(bundle, comps).z_coords
+            family.append(tuple(a * x + b * y for x, y in zip(v, w)))
+        else:
+            family.append(tuple(draw(st.lists(big, min_size=n, max_size=n))))
+    return lat, family
+
+
+@given(rank_families())
+@settings(max_examples=60, deadline=None)
+def test_rank_tracker_matches_sympy(case):
+    # every accept/reject decision, with and without the theta-action,
+    # against sympy's rank of the family's prefixes (their theta-multiples
+    # over a field)
+    lat, family = case
+    tracker = minima._RankTracker(None if lat is None else lat.theta_action)
+    rows, rank = [], 0
+    for z in family:
+        rows += [z] if lat is None else _theta_multiples(lat, [z])
+        new_rank = _sympy_q_rank(rows)
+        assert tracker.try_extend(z) == (new_rank > rank)
+        rank = new_rank
 
 
 # -- oracle equivalence -------------------------------------------------------
@@ -428,6 +486,82 @@ def test_lll_transform_reduced_and_unimodular(name, gram):
     for k in range(1, len(gram)):
         assert np.all(np.abs(mu[:k, k]) <= 0.5 + 1e-9)
         assert b[k] >= (0.99 - mu[k - 1, k] ** 2) * b[k - 1] * (1 - 1e-9)
+
+
+# LLL bases T of zeta5 Grams on which the order of the Gram-Schmidt sums
+# matters: compensated summation (``sum()`` on Python 3.12+, ``math.fsum``)
+# or ``np.dot`` there gives a different T for at least one of them.
+# (rank, seed, lattice) -> T of random_bundle(zeta5, rank, default_rng(seed)).
+PINNED_LLL = {
+    (3, 1, "dual bundle"): (
+        ( 1,  0, -1, -1, -2,  0, -1, -1, -1,  0,  2,  1),
+        ( 2,  1,  0, -2, -1,  1,  0,  0, -2, -1,  2,  1),
+        ( 2,  2,  1, -1, -1,  0,  0,  0, -2, -2,  1, -1),
+        ( 1,  1,  1,  0,  0, -1,  1,  0,  0, -2,  0, -1),
+        ( 1,  1,  0,  0,  0,  1,  0,  0,  1,  0,  0,  1),
+        ( 1,  1,  1,  0,  0,  0,  0,  0,  0,  1,  0,  1),
+        ( 0,  1,  1,  1,  1,  0,  1,  0,  0,  0,  1,  1),
+        ( 0,  0,  0,  1,  0,  0,  0,  0,  0,  0,  0,  1),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  0,  1),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  1),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  1),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1),
+    ),
+    (3, 1, "trace dual"): (
+        ( 1, -1,  0,  0, -1, -1,  1,  0,  2,  2,  1, -2),
+        ( 0,  1, -1,  0,  0, -1, -1,  1,  1,  2,  0,  1),
+        ( 0,  0,  1,  0,  2, -1, -1,  1, -2, -1, -2,  2),
+        ( 0,  0,  0,  1,  0,  2,  0, -1, -2, -2,  0,  1),
+        ( 0,  0,  0,  0,  0, -1,  0,  1,  0,  0,  1,  0),
+        ( 0,  0,  0,  0,  1,  0, -1,  0,  1,  0,  0, -1),
+        ( 0,  0,  0,  0,  0,  1,  0,  0,  0,  1,  0,  0),
+        ( 0,  0,  0,  0,  0,  0,  1, -1,  0,  0,  0,  1),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  0),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  0, -1),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  0),
+        ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1),
+    ),
+    (2, 22, "dual bundle"): (
+        ( 1,  0,  0,  1,  0,  0, -1, -1),
+        ( 0,  1,  0,  1,  0,  0,  0,  0),
+        ( 0,  0,  1,  1,  0,  1,  0,  0),
+        ( 0,  0,  0,  1,  0,  0,  0,  0),
+        ( 0,  0,  0,  0,  1,  0,  0,  0),
+        ( 0,  0,  0,  0,  0,  0,  0,  1),
+        ( 0,  0,  0,  0,  0,  1,  0,  0),
+        ( 0,  0,  0,  0,  0,  0,  1,  1),
+    ),
+}
+
+
+@pytest.mark.parametrize("rank,seed,kind", list(PINNED_LLL))
+def test_lll_transform_pinned(field_zeta5, rank, seed, kind):
+    from hermlat import dual_bundle
+    from hermlat.transference import random_bundle
+
+    bundle = random_bundle(field_zeta5, rank, np.random.default_rng(seed))
+    lat = restrict_scalars(dual_bundle(bundle)) if kind == "dual bundle" else trace_dual(bundle)
+    assert lll_transform(lat.euclid_gram).tolist() == [list(row) for row in PINNED_LLL[rank, seed, kind]]
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_lll_swap_cap_exit(monkeypatch, cap):
+    # The cap ends the reduction early.  T stays an integer unimodular
+    # matrix, and a poorly reduced basis only makes the proven radius
+    # larger, so the minima still match the box oracle.
+    cases = [(name, b) for name, b in oracle_fixture_lattices() if name in ("q3", "eis2")]
+    full = {name: lll_transform(restrict_scalars(b).euclid_gram) for name, b in cases}
+    monkeypatch.setattr(minima, "_LLL_MAX_SWAPS", cap)
+    for name, gram in lll_test_grams():
+        t = lll_transform(gram)
+        assert t.dtype.kind == "i"
+        assert abs(xl.det(xl.mat(t.tolist()))) == 1
+    for name, bundle in cases:
+        lat = restrict_scalars(bundle)
+        assert not np.array_equal(lll_transform(lat.euclid_gram), full[name])
+        for mode, count in (("f-rank", bundle.rank), ("q-rank", lat.z_rank)):
+            for norm in ("sup", "sum"):
+                assert_matches_oracle(lat, count, mode, norm)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
