@@ -84,14 +84,18 @@ def make_bundle(nf: NumberField, rank: int, grams: Sequence[np.ndarray]) -> Herm
 
 
 def dual_bundle(bundle: HermitianBundle) -> HermitianBundle:
-    """Dual bundle: same rank, Gram matrices replaced by their inverses.
+    """Dual bundle: same rank, each Gram H replaced by the dual metric's.
 
-    In the dual basis of E* the metric dual to H is the conjugate-transpose
-    inverse, which for hermitian H is plainly H^{-1}.
+    In the dual basis of E* a functional with coordinate row l has dual
+    norm^2 l H^{-1} l^H.  Vectors are normed as x^H G x, so with x = l^T the
+    dual Gram is G = (H^{-1})^T, which for hermitian H is the entrywise
+    conjugate of H^{-1}.  (H^{-1} itself gives the conjugate metric; over a
+    CM field, where complex conjugation is an automorphism, its minima are
+    the same, but over other fields they are not.)
     """
     inv = []
     for h in bundle.grams:
-        hi = np.linalg.inv(h)
+        hi = np.linalg.inv(h).conj()
         inv.append((hi + hi.conj().T) / 2)
     return HermitianBundle(bundle.nf, bundle.rank, tuple(inv))
 

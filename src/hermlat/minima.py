@@ -14,10 +14,16 @@ it
 3. enumerates the ellipsoid below containing the norm ball of radius b
    once, on T^T G T.  The kernel is a level-synchronous Fincke-Pohst
    search: it fixes the coordinates from the last down, expanding a whole
-   frontier of partial vectors per level with numpy, and counts each
-   frontier's children against the node budget before building them.
-   Frontiers are cut into chunks of at most ``_FRONTIER_ROWS`` rows and
-   expanded depth first, so memory is bounded whatever the budget.  The
+   frontier of partial vectors per level, and counts each frontier's
+   children against the node budget before building them.  From the
+   root, frontiers of at most ``_SCALAR_NODES`` children are expanded
+   with Python floats on lists; the first larger one and everything below
+   it go to numpy, whose calls cost about the same per frontier however
+   few rows it holds.  Both paths evaluate the same float expressions,
+   term for term, so the vectors, their order and the node count are the
+   same bits whichever path expands a frontier.  Numpy frontiers are cut
+   into chunks of at most ``_FRONTIER_ROWS`` rows and expanded depth
+   first, so memory is bounded whatever the budget.  The
    reduction and the searched ball of step 4 are memoized on the lattice:
    a lattice keeps one ball per norm and budget, the largest it completed,
    and any smaller radius of that norm and budget is answered by a prefix
@@ -106,6 +112,10 @@ _LLL_MAX_SWAPS = 100_000
 # _FRONTIER_ROWS bytes (2.5 MB at n = 12) whatever the budget; larger
 # frontiers do not speed it up.
 _FRONTIER_ROWS = 1 << 10
+# Frontiers of at most this many children are expanded with Python floats,
+# about 1 us a child, instead of numpy's calls, about 20 us a frontier
+# however small it is.
+_SCALAR_NODES = 8
 
 Mode = Literal["f-rank", "q-rank"]
 Norm = Literal["sup", "sum"]
@@ -150,10 +160,15 @@ def enumerate_ellipsoid(
     Raises BudgetExhausted when the node count exceeds the budget.
 
     The coordinates are fixed from the last down, a frontier of partial
-    vectors at a time (``_Frontier``).  Frontiers hold at most
+    vectors at a time.  From the root, frontiers of at most
+    ``_SCALAR_NODES`` children are expanded with Python floats
+    (``_expand_small``); the first larger one, with everything below it,
+    goes to numpy (``_Frontier``).  Frontiers hold at most
     ``_FRONTIER_ROWS`` rows and are expanded depth first, so memory does
     not grow with the budget; each frontier's children are counted against
-    the budget before any of them is built.
+    the budget before any of them is built.  Both paths evaluate the same
+    float expressions, so the vectors, their order and the node count do
+    not depend on which path expands a frontier.
     """
     n = gram.shape[0]
     r = np.linalg.cholesky(gram).T  # upper triangular, Q(x) = |r @ x|^2
@@ -161,35 +176,101 @@ def enumerate_ellipsoid(
     if bound < 0:
         return np.zeros((0, n), dtype=np.int64), 0
 
-    found = []
-    with np.errstate(invalid="ignore"):  # sqrt of a negative room: no children
-        stack = [_Frontier(r, bound, n - 1, np.zeros((1, 2 * n + 1)), True)]
-        nodes = stack[0].size
-        while stack:
-            if nodes > budget:
-                raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
-            top = stack[-1]
-            if top.done == top.size:
-                stack.pop()
-                continue
-            zero_first = top.zero_first and top.done == 0
-            rows = top.expand(r, _FRONTIER_ROWS)
-            if top.level > 0:
-                stack.append(_Frontier(r, bound, top.level - 1, rows, zero_first))
-                nodes += stack[-1].size
-            else:
-                rows = rows[int(zero_first) :]  # drop x = 0, row 0 when zero_first
-                found.append(rows[rows[:, -1] <= bound, n : 2 * n].astype(np.int64))
+    found: list[np.ndarray] = []
+    level, rows, nodes = _expand_small(r, float(bound), budget, found)
+    if level >= 0:
+        with np.errstate(invalid="ignore"):  # sqrt of a negative room: no children
+            stack = [_Frontier(r, bound, level, np.array(rows), True)]
+            nodes += stack[0].size
+            while stack:
+                if nodes > budget:
+                    raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
+                top = stack[-1]
+                if top.done == top.size:
+                    stack.pop()
+                    continue
+                zero_first = top.zero_first and top.done == 0
+                rows = top.expand(r, _FRONTIER_ROWS)
+                if top.level > 0:
+                    stack.append(_Frontier(r, bound, top.level - 1, rows, zero_first))
+                    nodes += stack[-1].size
+                else:
+                    rows = rows[int(zero_first) :]  # drop x = 0, row 0 when zero_first
+                    found.append(rows[rows[:, -1] <= bound, n : 2 * n].astype(np.int64))
     # the all-zero prefix always reaches level 0, so ``found`` is not empty
     return np.concatenate(found), nodes
 
 
-class _Frontier:
-    """Partial vectors whose coordinates above ``level`` are fixed.
+def _expand_small(r, bound, budget, found):
+    """Expand the frontiers from the root down while each has at most
+    ``_SCALAR_NODES`` children; returns (level, rows, nodes).
 
-    Row i of ``rows`` holds, in floats, its centres ``sum_{k > level}
-    r[j, k] x_k`` in column j <= level, its coordinates x_j in column n + j,
-    and its partial sum of |r x|^2 over the fixed levels in the last column.
+    A row is (centres, coordinates, partial sum): the centres of the
+    levels <= ``level``, the fixed coordinates above it and the partial
+    sum of |r x|^2, as in a ``_Frontier`` row; row 0 is the all-zero
+    prefix.  Each frontier's children are counted against the budget
+    before they are built, and the leaves of level 0 go to ``found``.  A
+    frontier with more children, or with an infinite or nan interval, is
+    returned unexpanded, as its level and its rows laid out for
+    ``_Frontier``; once level 0 is done the level is -1.  Every float is
+    computed by the expression ``_Frontier`` uses, term for term, so the
+    intervals, the nodes and the leaves are the same bits.
+    """
+    n = len(r)
+    columns = r.T.tolist()  # columns[l][j] = r[j, l]
+    rows, nodes = [([0.0] * n, (), 0.0)], 0
+    for level in range(n - 1, -1, -1):
+        col = columns[level]
+        r_ll = col[level]
+        spans, size = [], 0
+        for i, (centres, coords, partial) in enumerate(rows):
+            room = bound - partial
+            if not room >= 0:  # negative or nan room: no children
+                continue
+            c = -centres[level] / r_ll
+            half = math.sqrt(room) / r_ll
+            lo, hi = c - half - 1e-12, c + half + 1e-12
+            if not -math.inf < lo <= hi < math.inf:  # inf or nan: numpy's rules decide
+                size = math.inf
+                break
+            lo = math.ceil(lo)
+            if i == 0:  # the all-zero prefix: the sign convention
+                lo = max(lo, 0)
+            count = math.floor(hi) - lo + 1
+            if count > 0:
+                spans.append((centres, coords, partial, c, float(lo), count))
+                size += count
+        if size > _SCALAR_NODES:
+            zeros = [0.0] * n  # centres above the level, coordinates below: never read
+            return level, [[*cen, *zeros, *xs, p] for cen, xs, p in rows], nodes
+        nodes += size
+        if nodes > budget:
+            raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
+        col = col[:level]
+        rows = []
+        child = 0.0  # the children numbered as ``_Frontier.expand`` numbers them
+        for centres, coords, partial, c, lo, count in spans:
+            offset = lo - child
+            for _ in range(count):
+                x = offset + child
+                child += 1.0
+                step = r_ll * (x - c)
+                new_centres = [cj + rj * x for cj, rj in zip(centres, col)]
+                rows.append((new_centres, (x, *coords), partial + step * step))
+    if rows:  # rows[0] is x = 0, the all-zero vector
+        leaves = [coords for _, coords, partial in rows[1:] if partial <= bound]
+        found.append(np.array(leaves, dtype=np.int64).reshape(-1, n))
+    return -1, None, nodes
+
+
+class _Frontier:
+    """Partial vectors whose coordinates above ``level`` are fixed, in numpy.
+
+    The search takes this path from the first frontier with more than
+    ``_SCALAR_NODES`` children down.  Row i of ``rows`` holds, in floats,
+    its centres ``sum_{k > level} r[j, k] x_k`` in column j <= level, its
+    coordinates x_j in column n + j, and its partial sum of |r x|^2 over
+    the fixed levels in the last column.
     Its children are the integers of [lo_i, hi_i], the values the remaining
     room leaves for coordinate ``level``; ``size`` counts the children of
     all rows and ``done`` those that ``expand`` has produced so far.  A row
@@ -198,8 +279,8 @@ class _Frontier:
     interval is clamped at 0 (the sign convention), so its first child,
     x_level = 0, is the next level's all-zero prefix and comes first among
     the children.  The float expressions are those of a recursive
-    Fincke-Pohst search, term for term, so the intervals and the node count
-    match it exactly.
+    Fincke-Pohst search and of ``_expand_small``, term for term, so the
+    intervals and the node count match both exactly.
     """
 
     __slots__ = ("level", "rows", "zero_first", "c", "ends", "offset", "size", "done")

@@ -490,18 +490,21 @@ def test_lll_transform_reduced_and_unimodular(name, gram):
 
 # LLL bases T of zeta5 Grams on which the order of the Gram-Schmidt sums
 # matters: compensated summation (``sum()`` on Python 3.12+, ``math.fsum``)
-# or ``np.dot`` there gives a different T for at least one of them.
+# or ``np.dot`` there gives a different T for at least one of them.  The
+# dual-bundle Grams were picked under the old H^-1 metric; under the dual
+# metric ``math.fsum`` gives their pinned T too, and only the trace-dual
+# Gram tells it apart.
 # (rank, seed, lattice) -> T of random_bundle(zeta5, rank, default_rng(seed)).
 PINNED_LLL = {
     (3, 1, "dual bundle"): (
-        ( 1,  0, -1, -1, -2,  0, -1, -1, -1,  0,  2,  1),
-        ( 2,  1,  0, -2, -1,  1,  0,  0, -2, -1,  2,  1),
-        ( 2,  2,  1, -1, -1,  0,  0,  0, -2, -2,  1, -1),
-        ( 1,  1,  1,  0,  0, -1,  1,  0,  0, -2,  0, -1),
-        ( 1,  1,  0,  0,  0,  1,  0,  0,  1,  0,  0,  1),
-        ( 1,  1,  1,  0,  0,  0,  0,  0,  0,  1,  0,  1),
-        ( 0,  1,  1,  1,  1,  0,  1,  0,  0,  0,  1,  1),
-        ( 0,  0,  0,  1,  0,  0,  0,  0,  0,  0,  0,  1),
+        ( 1,  1,  2, -1,  1,  1,  0,  1,  1,  0, -2, -1),
+        ( 1,  0,  1, -1,  0,  2, -1,  1,  2,  1, -2, -1),
+        ( 0,  0,  0, -2, -1,  1, -2, -1,  2,  2, -1,  1),
+        (-1,  0,  0,  0, -1,  0, -1,  0,  0,  2,  0,  1),
+        ( 0,  0,  0,  1,  1,  0,  1,  1,  1,  0,  0,  1),
+        ( 1,  0,  1,  0,  1,  1,  1,  1,  0,  1,  0,  1),
+        ( 1,  0,  1,  0,  1,  1,  0,  1,  0,  0,  1,  1),
+        ( 0,  0,  0,  0,  0,  1,  0,  0,  0,  0,  0,  1),
         ( 0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  0,  1),
         ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  1),
         ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  1),
@@ -522,11 +525,11 @@ PINNED_LLL = {
         ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1),
     ),
     (2, 22, "dual bundle"): (
-        ( 1,  0,  0,  1,  0,  0, -1, -1),
-        ( 0,  1,  0,  1,  0,  0,  0,  0),
-        ( 0,  0,  1,  1,  0,  1,  0,  0),
+        ( 1,  0,  0,  1,  0, -1,  0,  1),
+        ( 0,  1,  0,  1,  0,  0, -1,  0),
+        ( 0,  0,  1,  1,  0,  0,  0,  0),
         ( 0,  0,  0,  1,  0,  0,  0,  0),
-        ( 0,  0,  0,  0,  1,  0,  0,  0),
+        ( 0,  0,  0,  0,  1,  0,  0,  1),
         ( 0,  0,  0,  0,  0,  0,  0,  1),
         ( 0,  0,  0,  0,  0,  1,  0,  0),
         ( 0,  0,  0,  0,  0,  0,  1,  1),
@@ -700,7 +703,21 @@ def _kernel_cases():
                 yield gram, radius_sq
 
 
-def test_enumerate_ellipsoid_matches_box():
+def _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes):
+    """Numpy alone (``_SCALAR_NODES`` = 0) and Python floats alone (above
+    every frontier) give the same vectors in the same order and the same
+    nodes as the default mix, and both run out of budget at nodes - 1."""
+    for small in (0, nodes):
+        with monkeypatch.context() as m:
+            m.setattr(minima, "_SCALAR_NODES", small)
+            got, got_nodes = enumerate_ellipsoid(gram, radius_sq, nodes)
+            assert got_nodes == nodes
+            assert got.dtype == vectors.dtype and np.array_equal(got, vectors)
+            with pytest.raises(BudgetExhausted):
+                enumerate_ellipsoid(gram, radius_sq, nodes - 1)
+
+
+def test_enumerate_ellipsoid_matches_box(monkeypatch):
     for gram, radius_sq in _kernel_cases():
         vectors, nodes = enumerate_ellipsoid(gram.astype(float), radius_sq, DEFAULT_BUDGET)
         assert vectors.dtype == np.int64 and vectors.shape[1] == len(gram)
@@ -713,9 +730,11 @@ def test_enumerate_ellipsoid_matches_box():
         assert enumerate_ellipsoid(gram.astype(float), radius_sq, nodes)[1] == nodes
         with pytest.raises(BudgetExhausted):
             enumerate_ellipsoid(gram.astype(float), radius_sq, nodes - 1)
+        _assert_paths_agree(monkeypatch, gram.astype(float), radius_sq, vectors, nodes)
     # x = 2 lies in the widened interval but outside the ellipsoid: a node, not a vector
     vectors, nodes = enumerate_ellipsoid(np.eye(1), 4 - 7e-12, DEFAULT_BUDGET)
     assert vectors.tolist() == [[1]] and nodes == 3
+    _assert_paths_agree(monkeypatch, np.eye(1), 4 - 7e-12, vectors, nodes)
 
 
 def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
@@ -730,13 +749,17 @@ def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
     radius_sq = 2 * gram.diagonal().max()
     vectors, nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET)
     assert nodes > 1000
+    _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes)
+    # the order is the search tree's, whatever the chunks
     for rows in (1, 3):
         monkeypatch.setattr(minima, "_FRONTIER_ROWS", rows)
         chunked, chunked_nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET)
         assert chunked_nodes == nodes
-        assert sorted(map(tuple, chunked.tolist())) == sorted(map(tuple, vectors.tolist()))
+        assert np.array_equal(chunked, vectors)
         with pytest.raises(BudgetExhausted):
             enumerate_ellipsoid(gram, radius_sq, nodes - 1)
+        monkeypatch.setattr(minima, "_SCALAR_NODES", 0)
+        assert np.array_equal(enumerate_ellipsoid(gram, radius_sq, nodes)[0], vectors)
 
 
 def test_enumerate_ellipsoid_leaves_no_garbage():

@@ -5,6 +5,7 @@ import pytest
 
 from hermlat import (
     BundleChecks,
+    build_field,
     check_all,
     check_polar_transference,
     check_index_comparison,
@@ -155,6 +156,23 @@ def test_proof_chain_random(field_sqrt2, field_sqrt_minus3):
             assert rep.verdict == "pass", [
                 (l.statement, l.verdict, l.quantities) for l in rep.links
             ]
+
+
+def test_dual_transfer_over_a_non_cm_cubic():
+    # Q(x^3+x-1): disc -31, one real and one complex place, and complex
+    # conjugation is not an automorphism.  The dual bundle's Gram is the
+    # conjugate of H^-1; H^-1 itself is the conjugate metric, which over
+    # this field moves mu_star and broke L2 on 6 of these 99 links.
+    nf = build_field((-1, 1, 0, 1))
+    links = 0
+    for seed in range(45):
+        rng = np.random.default_rng(seed)
+        ctx = BundleChecks(random_bundle(nf, int(rng.integers(1, 4)), rng))
+        for k in range(1, ctx.bundle.rank + 1):
+            (l2,) = [l for l in check_proof_chain(ctx, k).links if ".L2." in l.statement]
+            assert l2.verdict == "pass", (seed, k, l2.quantities)
+            links += 1
+    assert links == 99
 
 
 def test_uncertified_never_passes(field_qi):
