@@ -154,8 +154,9 @@ class NormedLattice:
     euclid_gram: np.ndarray
     witness: Callable[[tuple[int, ...]], object]
     # what the minima engine derives from the forms alone (the reduced
-    # basis, the searched balls), built on first use by ``memoized``;
-    # lattices with equal forms may share one
+    # basis, the searched balls), built on first use by ``memoized`` and
+    # keyed by the array each entry is derived from (see
+    # ``hermlat.minima``), so any lattices of one field may share one
     memo: dict = field(default_factory=dict, kw_only=True, repr=False, compare=False)
 
     def memoized(self, key, build):

@@ -23,7 +23,8 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
+    if len(a[0]) != m:
+        raise ValueError(f"cannot multiply a {n}x{len(a[0])} matrix by a {m}x{p} one")
     out = [[Fraction(0)] * p for _ in range(n)]
     for i in range(n):
         for k in range(m):

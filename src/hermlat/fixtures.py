@@ -29,7 +29,7 @@ import numpy as np
 
 from .bundles import HermitianBundle, make_bundle
 from .heights import CurveInvariants
-from .numberfield import DEFAULT_PREC_BITS, NumberField, build_field
+from .numberfield import DEFAULT_PREC_BITS, FieldError, NumberField, build_field
 
 
 class FixtureError(ValueError):
@@ -187,7 +187,10 @@ def shipped_field(name: str, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
     key = (name, prec_bits)
     if key not in _cache:
         nf = build_field(_FIELD_POLYS[name], prec_bits=prec_bits)
-        assert nf.discriminant == _FIELD_DISCS[name]
+        if nf.discriminant != _FIELD_DISCS[name]:
+            raise FieldError(
+                f"shipped field {name!r}: discriminant {nf.discriminant} != {_FIELD_DISCS[name]}"
+            )
         _cache[key] = nf
     return _cache[key]
 

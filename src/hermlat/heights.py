@@ -174,9 +174,7 @@ def asymptotic_consistency(inv: CurveInvariants, tol: float = 1e-6) -> Asymptoti
         lows.append(lo)
         ups.append(hi)
         if d >= 2 * g + 1 and inv.residual_c == 0 and inv.log_disc == 0:
-            candidates_lo = [float(la)] + ([float(lb)] if lb is not None else [])
-            candidates_hi = [float(ua)] + ([float(ub)] if ub is not None else [])
-            if max(candidates_lo) > min(candidates_hi) + 1e-9:
+            if lo > hi + 1e-9:
                 ordering_ok = False
         for v in (lo, hi):
             fitted_k = max(fitted_k, d * abs(v - limit))

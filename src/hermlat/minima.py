@@ -24,12 +24,13 @@ it
    same bits whichever path expands a frontier.  Numpy frontiers are cut
    into chunks of at most ``_FRONTIER_ROWS`` rows and expanded depth
    first, so memory is bounded whatever the budget.  The
-   reduction and the searched ball of step 4 are memoized on the lattice:
-   a lattice keeps one ball per norm and budget, the largest it completed,
-   and any smaller radius of that norm and budget is answered by a prefix
-   of it (``mu``'s ball lies inside ``lambda``'s).  A lattice whose
-   Euclidean Gram is an exact power-of-two multiple of another's takes
-   that lattice's T (see ``share_reduction``);
+   reduction and the searched balls are memoized in the lattice's memo,
+   each entry keyed by the array it is derived from: T by the Euclidean
+   Gram scaled to a fixed binary exponent (see ``_reduce``), T^T G T by
+   the Gram, and the balls by the forms, one per norm and budget, the
+   largest completed; any smaller radius of that norm and budget is
+   answered by a prefix of it (``mu``'s ball lies inside ``lambda``'s).
+   These keys alone decide what lattices that share a memo dict share;
 4. maps the candidates back through T, puts their signs in the original
    coordinates (highest nonzero coordinate positive), norms them all in
    one batch and keeps those the batch puts within ``BATCH_MARGIN`` of
@@ -379,7 +380,7 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
 
 def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
     """c such that {Q <= c b^2} contains the ball of radius b of ``norm``
-    (see the module docstring); the pairing is memoized on the lattice."""
+    (see the module docstring); the pairing is memoized by the forms."""
     if norm == "sup":
         return float(lattice.n_embeddings)
 
@@ -388,39 +389,30 @@ def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
         paired = all(c != s and np.array_equal(forms[s], forms[c]) for s, c in enumerate(conj))
         return 0.5 if paired else 1.0
 
-    return lattice.memoized("sum_factor", build)
+    return lattice.memoized(("sum_factor", lattice.forms.tobytes()), build)
 
 
 def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
     """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T,
-    memoized on the lattice."""
+    memoized by the Gram G.
+
+    T itself is memoized by G scaled to a fixed binary exponent, so Grams
+    that are exact power-of-two multiples of each other share it.  Such a
+    factor scales every float ``lll_transform`` computes from the Gram (its
+    entries and the squared lengths B_k) exactly and leaves the mu_kj
+    unchanged, so every rounding, swap and T would come out bit for bit the
+    same.  Over a totally complex field the weighted trace dual is 4 times
+    the trace dual.
+    """
+    g = lattice.euclid_gram
 
     def build():
-        t = lattice.memoized("lll", lambda: lll_transform(lattice.euclid_gram))
-        gram = t.T @ lattice.euclid_gram @ t
+        scaled = np.ldexp(g, -math.frexp(g[0, 0])[1])
+        t = lattice.memoized(("lll", scaled.tobytes()), lambda: lll_transform(g))
+        gram = t.T @ g @ t
         return t, (gram + gram.T) / 2
 
-    return lattice.memoized("reduced", build)
-
-
-def share_reduction(lattice: NormedLattice, other: NormedLattice) -> bool:
-    """Give ``lattice`` the LLL basis T of ``other`` if its Euclidean Gram is
-    exactly ``other``'s times a power of two; whether it did.
-
-    Such a factor scales every float ``lll_transform`` computes from the
-    Gram (its entries and the squared lengths B_k) exactly and leaves the
-    mu_kj unchanged, so every rounding, swap and T would come out bit for
-    bit the same.  Over a totally complex field the weighted trace dual is
-    4 times the trace dual.
-    """
-    ratio = lattice.euclid_gram[0, 0] / other.euclid_gram[0, 0]
-    if math.frexp(ratio)[0] != 0.5 or not np.array_equal(
-        lattice.euclid_gram, ratio * other.euclid_gram
-    ):
-        return False
-    t = _reduce(other)[0]
-    lattice.memoized("lll", lambda: t)
-    return True
+    return lattice.memoized(("reduced", g.tobytes()), build)
 
 
 def enumerate_below(
@@ -442,16 +434,17 @@ def enumerate_below(
 def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ball":
     """The searched ball that holds the ball of radius ``bound``.
 
-    The lattice's memo keeps, per norm and budget, the largest ball whose
-    search completed and the smallest radius whose search ran out of
+    The lattice's memo keeps, per forms, norm and budget, the largest ball
+    whose search completed and the smallest radius whose search ran out of
     budget.  A search's node count grows with its radius, so a radius at
     or above an exhausted one is exhausted too, and a smaller one than a
-    completed ball's is answered by that ball.  Lattices sharing one memo
-    share their balls: over Q the dual-bundle and trace-dual profiles
-    search the same ones.
+    completed ball's is answered by that ball.  Lattices with equal forms
+    that share one memo share their balls: over Q the dual-bundle and
+    trace-dual profiles search the same ones.
     """
     norm_key = norm if lattice.n_embeddings > 1 else "sup"  # one embedding: sup = sum
-    ball_key, exhausted_key = ("ball", norm_key, budget), ("exhausted", norm_key, budget)
+    key = (lattice.forms.tobytes(), norm_key, budget)
+    ball_key, exhausted_key = ("ball", *key), ("exhausted", *key)
     memo = lattice.memo
     ball = memo.get(ball_key)
     if ball is not None and bound <= ball.bound:
@@ -503,9 +496,9 @@ class _Ball:
     candidate whose batch norm could hide an exact norm not above theirs is
     normed, and then move to ``hits``, the (norm, z) pairs read so far in
     the order of the whole ball.  The lattice is passed to each read rather
-    than kept, since the ball lives in the lattice's memo; any lattice
-    sharing that memo has the same forms and norms the same.  A lock keeps
-    concurrent readers from norming a candidate twice.
+    than kept, since the ball lives in a memo that lattices may share; its
+    key holds the forms, so every lattice that finds it norms the same.  A
+    lock keeps concurrent readers from norming a candidate twice.
     """
 
     __slots__ = ("norm", "bound", "nodes", "pending", "batch", "normed", "heap", "hits", "lock")

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bundles import HermitianBundle, NormedLattice, dual_bundle, make_bundle, restrict_scalars
+from .bundles import HermitianBundle, dual_bundle, make_bundle, restrict_scalars
 from .duality import (
     minkowski_codifferent_bound,
     minkowski_codifferent_vector,
@@ -31,7 +31,6 @@ from .minima import (
     DEFAULT_BUDGET,
     BudgetExhausted,
     MinimaProfile,
-    share_reduction,
     successive_minima,
 )
 from .numberfield import NumberField, duality_gap_constant
@@ -101,16 +100,16 @@ def bundle_digest(bundle: HermitianBundle) -> str:
 class BundleChecks:
     """Shared minima profiles for one bundle; lazily computed, memoized.
 
-    The lattices the profiles run on are built at most once each; those
-    with equal forms share one memo of reductions and searched balls, and
-    one whose Euclidean Gram is a power-of-two multiple of another's takes
-    that one's LLL basis.  ``statements`` names what the context will check
+    The lattices the profiles run on are built at most once each and share
+    one memo dict; ``hermlat.minima`` keys its entries by content, so that
+    is where it is decided which reductions and searched balls two of them
+    share.  ``statements`` names what the context will check
     (every declared statement by default).  When those read both ``mu`` and
     ``lambda``, ``lambda`` is computed first: ``mu``'s ball lies inside
     ``lambda``'s (same lattice, same sup norm, smaller proven radius), so
     ``mu`` reads a prefix of that ball instead of searching its own.  The
     bundle and its derived lattices are immutable; the only mutations are
-    the internal cache and the lattice memos, which are only filled during
+    the internal cache and the memo, which are only filled during
     single-threaded checks.
     """
 
@@ -121,40 +120,26 @@ class BundleChecks:
         self.budget = budget
         self.digest = bundle_digest(bundle)
         self._profiles: dict[str, MinimaProfile] = {}
-        self._lattices: list[NormedLattice] = []
+        self._memo: dict = {}
         names = DECLARED if statements is None else statements
         reads = {key for name in names for key in READS[name]}
         self._lambda_first = {"mu", "lambda"} <= reads
 
-    def _shared(self, lattice: NormedLattice) -> NormedLattice:
-        """The lattice, with the memo of an earlier lattice of this context
-        that has the same forms (over Q the dual bundle and the trace dual
-        coincide, so their minima profiles search the same balls), or else
-        with the LLL basis of one whose Gram it is a power-of-two multiple of."""
-        for other in self._lattices:
-            if np.array_equal(other.forms, lattice.forms):
-                return replace(lattice, memo=other.memo)
-        for other in self._lattices:
-            if share_reduction(lattice, other):
-                break
-        self._lattices.append(lattice)
-        return lattice
-
     @cached_property
     def primal(self):
-        return self._shared(restrict_scalars(self.bundle))
+        return replace(restrict_scalars(self.bundle), memo=self._memo)
 
     @cached_property
     def star(self):
-        return self._shared(restrict_scalars(dual_bundle(self.bundle)))
+        return replace(restrict_scalars(dual_bundle(self.bundle)), memo=self._memo)
 
     @cached_property
     def tdual(self):
-        return self._shared(trace_dual(self.bundle))
+        return replace(trace_dual(self.bundle), memo=self._memo)
 
     @cached_property
     def weighted(self):
-        return self._shared(self.tdual.weighted())
+        return replace(self.tdual.weighted(), memo=self._memo)
 
     def profile(self, key: str) -> MinimaProfile:
         """The minima profile named ``key`` in ``PROFILES``, computed once."""

@@ -169,6 +169,18 @@ def test_asymptotic_consistency_g3():
     assert rep.converged
 
 
+def test_asymptotic_consistency_rejects_crossed_bounds(monkeypatch):
+    from hermlat import heights
+
+    def below_the_lower(inv, d):  # an upper bound below the sharpest lower one
+        la, lb = height_lower_bounds(inv, d)
+        return max(la, lb if lb is not None else la) - 1e-6, None
+
+    monkeypatch.setattr(heights, "height_upper_bounds", below_the_lower)
+    with pytest.raises(ValueError, match="lower bound exceeded upper bound"):
+        asymptotic_consistency(CurveInvariants(g=2, omega_sq=1.0))
+
+
 def test_lower_below_upper_at_d5():
     inv = CurveInvariants(g=2, omega_sq=1.0)
     _, lb = height_lower_bounds(inv, 5)

@@ -491,9 +491,9 @@ def test_lll_transform_reduced_and_unimodular(name, gram):
 # LLL bases T of zeta5 Grams on which the order of the Gram-Schmidt sums
 # matters: compensated summation (``sum()`` on Python 3.12+, ``math.fsum``)
 # or ``np.dot`` there gives a different T for at least one of them.  The
-# dual-bundle Grams were picked under the old H^-1 metric; under the dual
-# metric ``math.fsum`` gives their pinned T too, and only the trace-dual
-# Gram tells it apart.
+# (3, 1) and (2, 22) dual-bundle Grams were picked under the old H^-1
+# metric, and under the dual metric ``math.fsum`` gives their pinned T too;
+# on the (3, 1) trace-dual and the (2, 2) dual-bundle Grams it does not.
 # (rank, seed, lattice) -> T of random_bundle(zeta5, rank, default_rng(seed)).
 PINNED_LLL = {
     (3, 1, "dual bundle"): (
@@ -533,6 +533,16 @@ PINNED_LLL = {
         ( 0,  0,  0,  0,  0,  0,  0,  1),
         ( 0,  0,  0,  0,  0,  1,  0,  0),
         ( 0,  0,  0,  0,  0,  0,  1,  1),
+    ),
+    (2, 2, "dual bundle"): (
+        ( 0,  0,  0,  0,  1,  1,  1, -1),
+        ( 0,  0,  0,  0,  0,  1,  0,  0),
+        ( 0,  0,  0,  0,  1,  1,  1,  0),
+        ( 0,  0,  0,  0,  1,  1,  0, -1),
+        ( 1,  1,  1, -1,  0,  0,  0, -2),
+        ( 0,  0,  1,  0,  0,  0,  0, -1),
+        ( 1,  0,  0, -1,  0,  0,  0, -1),
+        ( 0,  1,  1, -1,  0,  0,  0, -2),
     ),
 }
 
@@ -774,11 +784,9 @@ def test_enumerate_ellipsoid_leaves_no_garbage():
         gc.enable()
 
 
-def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_minus3, field_zeta5):
-    from hermlat import transference
-    from hermlat.duality import transfer_vector
-    from hermlat.transference import BundleChecks, check_all, random_bundle
-
+def count_engine_calls(monkeypatch) -> list:
+    """The names of the ``lll_transform`` and ``enumerate_ellipsoid`` calls
+    made from now on, in call order."""
     calls = []
 
     def counted(name):
@@ -792,6 +800,15 @@ def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_mi
 
     for name in ("enumerate_ellipsoid", "lll_transform"):
         monkeypatch.setattr(minima, name, counted(name))
+    return calls
+
+
+def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_minus3, field_zeta5):
+    from hermlat import transference
+    from hermlat.duality import transfer_vector
+    from hermlat.transference import BundleChecks, check_all, random_bundle
+
+    calls = count_engine_calls(monkeypatch)
     ctx = BundleChecks(random_bundle(field_q, 2, np.random.default_rng(4)))
     profiles = {k: ctx.profile(k) for k in ("mu", "mu_star", "lambda", "lambda_vee", "mu_vee")}
     # over Q, mu and lambda search one ball of the primal lattice; the dual
@@ -829,11 +846,41 @@ def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_mi
     for nf in (field_qi, field_sqrt_minus3, field_zeta5):
         ctx = BundleChecks(random_bundle(nf, 2, np.random.default_rng(1)))
         weighted = ctx.weighted
-        assert weighted.memo is not ctx.tdual.memo
+        assert weighted.memo is ctx.tdual.memo
         assert np.array_equal(weighted.euclid_gram, 4 * ctx.tdual.euclid_gram)
         t = minima._reduce(weighted)[0]
         assert t is minima._reduce(ctx.tdual)[0]
         assert np.array_equal(t, lll_transform(weighted.euclid_gram))
+
+
+@pytest.mark.parametrize(
+    "name,reductions,searches",
+    [
+        # mixed signature: the weights 1, 2, 2 make the weighted trace dual
+        # no power-of-two multiple of the trace dual, so nothing is shared
+        ("x^3+x-1", 4, 4),
+        # weights 1: the weighted trace dual has the trace dual's forms, and
+        # its sup-norm search is not the trace dual's sum-norm one
+        ("sqrt2", 3, 4),
+        # the dual bundle and both trace duals have equal forms, and with one
+        # embedding the sum norm is the sup norm
+        ("q", 2, 2),
+        # the weighted trace dual is 4 times the trace dual: one T, two searches
+        ("zeta5", 3, 4),
+    ],
+)
+def test_check_all_shares_by_content(monkeypatch, name, reductions, searches):
+    from hermlat.duality import transfer_vector
+    from hermlat.transference import check_all, random_bundle
+
+    nf = build_field([-1, 1, 0, 1]) if name == "x^3+x-1" else shipped_field(name)
+    transfer_vector(nf)  # the field's own search, memoized before counting
+    calls = count_engine_calls(monkeypatch)
+    for seed in range(1, 6):
+        calls.clear()
+        check_all(random_bundle(nf, 2, np.random.default_rng(seed)))
+        assert (calls.count("lll_transform"), calls.count("enumerate_ellipsoid")) == (
+            reductions, searches)
 
 
 def eager_ball(lat, norm, bound):

@@ -157,3 +157,20 @@ def test_theta_action_supplied_basis():
     # over {1/2, theta/4}: theta/2 = 2*(theta/4), -3/4 = -(3/2)*(1/2); scaled by 2
     basis = [nf.element(["1/2", 0]), nf.element([0, "1/4"])]
     assert nf.theta_action(basis) == ((0, -3), (4, 0))
+
+
+def test_shipped_field_checks_its_discriminant(monkeypatch):
+    from hermlat import fixtures
+
+    monkeypatch.setattr(fixtures, "_FIELD_DISCS", {**fixtures._FIELD_DISCS, "sqrt2": 7})
+    monkeypatch.setattr(fixtures, "_cache", {})
+    with pytest.raises(FieldError, match="discriminant 8 != 7"):
+        fixtures.shipped_field("sqrt2")
+
+
+def test_mat_mul_checks_shapes():
+    from hermlat.exactlinalg import mat, mat_mul
+
+    assert mat_mul(mat([[1, 2]]), mat([[3], [4]])) == mat([[11]])
+    with pytest.raises(ValueError, match="1x2 matrix by a 1x2"):
+        mat_mul(mat([[1, 2]]), mat([[3, 4]]))
