@@ -3,9 +3,13 @@
 Elements are stored by their rational coordinates in the power basis of a
 root theta of the monic defining polynomial f.  Traces and the trace Gram
 matrix are computed exactly (via power sums of the roots, never floats), so
-the discriminant of the given order is an exact integer.  Embeddings are
-refined numerically to a configurable precision and kept both as mpmath
-values and as machine complex numbers for the lattice code.
+the discriminant of the given order is an exact integer.  Irreducibility of
+f and its number of real roots are decided in exact integer arithmetic: a
+distinct-degree factorisation modulo small primes certifies irreducibility
+(sympy's exact test decides only the polynomials it leaves open), and a
+Sturm sequence counts the real roots.  Embeddings are refined numerically to
+a configurable precision and kept both as mpmath values and as machine
+complex numbers for the lattice code.
 
 All constructed objects are immutable after ``build_field`` returns and are
 safe for unrestricted concurrent reads.
@@ -19,11 +23,13 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
-import sympy
 
 from . import exactlinalg as xl
 
 DEFAULT_PREC_BITS = 64
+
+# primes tried by the mod-p irreducibility certificate
+_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
 class FieldError(ValueError):
@@ -259,18 +265,150 @@ def _power_sums(coeffs: Sequence[int], upto: int) -> list[Fraction]:
     return p
 
 
+# -- exact decisions on the defining polynomial ----------------------------------
+# Polynomials are coefficient lists, constant term first, with a non-zero
+# leading coefficient; [] is the zero polynomial.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: Sequence, b: Sequence, p: int | None = None) -> tuple[list, list]:
+    """Quotient and remainder of a by b (b != 0): over Q when ``p`` is None,
+    with Fraction coefficients, and over F_p otherwise."""
+    inv = 1 / Fraction(b[-1]) if p is None else pow(b[-1], -1, p)
+    r = _trim(list(a))
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] * inv if p is None else r[-1] * inv % p
+        q[k] = c
+        for i, bi in enumerate(b):
+            r[k + i] -= c * bi
+            if p is not None:
+                r[k + i] %= p
+        _trim(r)
+    return q, r
+
+
+def _gcd_mod_p(a: list, b: list, p: int) -> list:
+    """Monic gcd of a and b over F_p."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mulmod_p(a: list, b: list, m: list, p: int) -> list:
+    """a * b mod (m, p)."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_divmod([c % p for c in prod], m, p)[1]
+
+
+def _powmod_p(a: list, e: int, m: list, p: int) -> list:
+    """a^e mod (m, p), by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _mulmod_p(result, a, m, p)
+        a = _mulmod_p(a, a, m, p)
+        e >>= 1
+    return result
+
+
+def _factor_degrees_mod_p(f: list, p: int) -> list[int]:
+    """Degrees of the irreducible factors over F_p of f, monic and squarefree
+    mod p, by distinct-degree factorisation (Cohen, A Course in Computational
+    Algebraic Number Theory, §3.4)."""
+    degrees = []
+    h = [0, 1]  # x^(p^d) mod f
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod_p(h, p, f, p)
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        g = _gcd_mod_p(f, _trim(h_minus_x), p)
+        if len(g) > 1:  # the product of f's factors of degree d
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _poly_divmod(f, g, p)[0]
+            h = _poly_divmod(h, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _irreducible_mod_primes(coeffs: Sequence[int]) -> bool:
+    """True when factorisations modulo small primes prove the monic f of
+    degree r >= 2 irreducible over Q.
+
+    A monic factor of f over Z of degree d reduces mod p to a product of some
+    of f's irreducible factors mod p, so d is a sum of some of their degrees
+    for every prime p that keeps f squarefree.  When no d in 1..r-1 is such a
+    sum for all the primes tried, f has no proper factor.  False means
+    undecided: f is reducible, or no prime tried decides it (x^4 + 1 has no
+    prime at all, since it splits into factors of degree <= 2 mod every p).
+    """
+    possible = set(range(1, len(coeffs) - 1))
+    for p in _CERTIFICATE_PRIMES:
+        f = [c % p for c in coeffs]
+        df = _trim([k * c % p for k, c in enumerate(f)][1:])
+        if len(_gcd_mod_p(f, df, p)) > 1:
+            continue  # p divides the discriminant of f
+        sums = {0}
+        for e in _factor_degrees_mod_p(f, p):
+            sums |= {s + e for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
+def _irreducible_by_sympy(coeffs: Sequence[int]) -> bool:
+    """sympy's exact irreducibility test, for the f the mod-p certificate
+    leaves undecided."""
+    import sympy
+
+    return sympy.Poly(list(reversed(coeffs)), sympy.symbols("x"), domain="QQ").is_irreducible
+
+
+def _real_root_count(coeffs: Sequence[int]) -> int:
+    """Number of distinct real roots of f, from a Sturm sequence over Q: the
+    sign changes of f, f', -rem(f, f'), ... at -infinity minus those at
+    +infinity, read off the leading coefficients."""
+    seq = [list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]]
+    while True:
+        rem = _poly_divmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def changes(signs):
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    at_plus = [a[-1] > 0 for a in seq]
+    at_minus = [(a[-1] > 0) == (len(a) % 2 == 1) for a in seq]
+    return changes(at_minus) - changes(at_plus)
+
+
 def _compute_embeddings(coeffs: Sequence[int], prec_bits: int):
     """Roots of f ordered deterministically: real ascending, then conjugate
     pairs by (Re, Im) with the positive-imaginary root first.
 
-    The number of real roots is established exactly via Sturm sequences
-    (sympy), so the real/complex split never depends on a float threshold.
-    Each root is Newton-refined and certified by a residual bound.
+    The number of real roots is counted exactly by a Sturm sequence; f is
+    irreducible, hence squarefree, so every root is simple and the count is
+    the number of real embeddings.  The real/complex split therefore never
+    depends on a float threshold.  Each root is Newton-refined and certified
+    by a residual bound.
     """
     r = len(coeffs) - 1
-    x = sympy.symbols("x")
-    poly = sympy.Poly([Fraction(c) for c in reversed(coeffs)], x, domain="QQ")
-    n_real = len(poly.real_roots())
+    n_real = _real_root_count(coeffs)
 
     dps = max(30, int(prec_bits * 0.35) + 25)
     with mpmath.workdps(dps):
@@ -354,9 +492,7 @@ def build_field(
         raise FieldError("defining polynomial must be monic")
     r = len(coeffs) - 1
 
-    x = sympy.symbols("x")
-    spoly = sympy.Poly(list(reversed(coeffs)), x, domain="QQ")
-    if r > 1 and not spoly.is_irreducible:
+    if r > 1 and not (_irreducible_mod_primes(coeffs) or _irreducible_by_sympy(coeffs)):
         raise FieldError("defining polynomial is reducible over Q")
 
     power_sums = tuple(_power_sums(coeffs, max(2 * r - 2, 1)))

@@ -1,12 +1,48 @@
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermlat import FieldError, build_field, duality_gap_constant, trace_gram
+from hermlat import FieldError, build_field, duality_gap_constant, numberfield, trace_gram
+from hermlat.fixtures import _FIELD_POLYS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the extra fields of the ROADMAP.md measurements, none of them shipped,
+# constant term first
+CORPUS_POLYS = {
+    "zeta7": [1, 1, 1, 1, 1, 1, 1],
+    "zeta9": [1, 0, 0, 1, 0, 0, 1],
+    "x^3 - 2": [-2, 0, 0, 1],
+    "x^3 + x - 1": [-1, 1, 0, 1],
+    "x^3 - x^2 - 2x + 1": [1, -2, -1, 1],
+    "x^3 - x^2 + x + 1": [1, 1, -1, 1],
+    "x^4 - 2": [-2, 0, 0, 0, 1],
+    "x^2 - 3": [-3, 0, 1],
+    "x^2 - 5": [-5, 0, 1],
+}
+
+# polynomials the mod-p certificate cannot decide, with sympy's verdict.  The
+# Galois groups of the first three are (Z/2)^2 and that of x^8 + 1 is
+# Z/2 x Z/4, so modulo every prime they split into factors of equal degree at
+# most 2, resp. 4, some of which multiply to degree 2, resp. 4; x^4 + 4 is reducible
+SYMPY_DECIDED = {
+    "x^4 + 1": ([1, 0, 0, 0, 1], True),
+    "x^4 - x^2 + 1": ([1, 0, -1, 0, 1], True),
+    "x^4 - 10x^2 + 1": ([1, 0, -10, 0, 1], True),
+    "x^8 + 1": ([1, 0, 0, 0, 0, 0, 0, 0, 1], True),
+    "x^4 + 4": ([4, 0, 0, 0, 1], False),
+}
 
 
 def test_build_rational_field(field_q):
@@ -33,8 +69,98 @@ def test_non_monic_rejected():
 
 
 def test_reducible_rejected():
-    with pytest.raises(FieldError):
-        build_field([-1, 0, 1])  # x^2 - 1
+    # x^2 - 1 has a rational root; x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) and
+    # x^4 + 3x^2 + 2 = (x^2 + 1)(x^2 + 2) have none
+    for poly in ([-1, 0, 1], [4, 0, 0, 0, 1], [2, 0, 3, 0, 1]):
+        with pytest.raises(FieldError, match="reducible"):
+            build_field(poly)
+    # x^4 + 1 is irreducible over Q, though it factors modulo every prime
+    assert build_field([1, 0, 0, 0, 1]).signature == (0, 2)
+
+
+def _oracle_corpus(count: int, seed: int) -> list[list[int]]:
+    """Seeded monic integer polynomials of degree 1-8; about a third are
+    products of two monic factors."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1]
+            b = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1]
+            f = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    f[i + j] += ai * bj
+        else:
+            f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1]
+        corpus.append(f)
+    return corpus
+
+
+def test_exact_decisions_match_sympy():
+    # the certificate never calls a reducible f irreducible, and it decides
+    # every irreducible member of the corpus; the Sturm count is the number of
+    # distinct real roots, squarefree or not
+    x = sympy.symbols("x")
+    reducible = 0
+    for f in _oracle_corpus(300, seed=13):
+        poly = sympy.Poly(list(reversed(f)), x, domain="QQ")
+        assert numberfield._irreducible_mod_primes(f) == poly.is_irreducible, f
+        assert numberfield._real_root_count(f) == len(poly.real_roots(multiple=False)), f
+        reducible += not poly.is_irreducible
+    assert reducible > 60
+
+
+@pytest.fixture
+def sympy_calls(monkeypatch):
+    """Records every polynomial that reaches sympy's irreducibility test."""
+    calls = []
+    original = numberfield._irreducible_by_sympy
+
+    def spy(coeffs):
+        calls.append(list(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(numberfield, "_irreducible_by_sympy", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", SYMPY_DECIDED)
+def test_sympy_decides_what_the_certificate_leaves_open(name, sympy_calls):
+    poly, irreducible = SYMPY_DECIDED[name]
+    if irreducible:
+        build_field(poly)
+    else:
+        with pytest.raises(FieldError, match="reducible"):
+            build_field(poly)
+    assert sympy_calls == [poly]
+
+
+def test_certificate_decides_shipped_and_corpus_fields(sympy_calls):
+    polys = [list(p) for p in _FIELD_POLYS.values()] + list(CORPUS_POLYS.values())
+    for poly in polys:
+        build_field(poly)
+    assert sympy_calls == []
+
+
+def test_shipped_paths_do_not_import_sympy():
+    # a fresh interpreter: this test session imports sympy itself
+    script = """
+import json, sys
+from hermlat import cli
+from hermlat.fixtures import shipped_field, shipped_field_names
+for name in shipped_field_names():
+    for bits in (64, 256):
+        shipped_field(name, bits)
+code = cli.main(["check", "--fixture", "fixtures/bundle_gaussian_rank1.json", "--statement", "all"])
+print(json.dumps({"code": code, "sympy": "sympy" in sys.modules}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "sympy": False}
 
 
 def test_degree_zero_rejected():
