@@ -4,7 +4,10 @@ The engine never searches for its radius.  For the first ``count`` minima
 it
 
 1. reduces the Euclidean Gram G with LLL (delta = 0.99) to an exact
-   integer unimodular T;
+   integer unimodular T.  The Gram-Schmidt data of each basis vector are
+   computed from its Gram row once, with plain left-to-right float sums,
+   when the scan first reaches it, and are kept across size reductions
+   and swaps from then on (``lll_transform``);
 2. takes a proven radius b from the aggregated norms of the reduced basis
    vectors T e_i.  In q-rank mode the ``count`` shortest basis vectors are
    Q-independent, so b is their largest norm.  In f-rank mode any
@@ -318,62 +321,86 @@ class _Frontier:
 def lll_transform(gram: np.ndarray) -> np.ndarray:
     """Integer unimodular T whose columns are an LLL-reduced basis for ``gram``.
 
-    Cohen's Algorithm 2.6.3 run on the Gram matrix: when the scan reaches
-    basis vector k, its Gram-Schmidt coefficients mu_kj and squared length
-    B_k are computed in floating point from the current Gram row, which
-    every size reduction and swap updates in place.  The basis changes
-    themselves are exact integer column operations, so T is unimodular
-    whatever the rounding.  On return T^T gram T satisfies |mu_kj| <= 1/2
-    and B_k >= (LLL_DELTA - mu_(k,k-1)^2) B_(k-1).
+    Cohen's Algorithm 2.6.3 run on the Gram matrix.  The Gram-Schmidt
+    coefficients mu_kj and squared lengths B_k of basis vector k are
+    computed from its Gram row once, when the scan first reaches k (k
+    exceeds k_max, the furthest it has been), and kept from then on: a
+    size reduction updates row k of mu in place, and a swap of k-1 and k
+    updates mu and B by Cohen's SWAP formulas.  Before the Lovasz test
+    vector k is size-reduced against k-1 only; against k-2 .. 0 only when
+    the test passes and k advances.  The Gram is read only by first
+    visits, so only its rows above k_max are kept current: a reduction of
+    vector k updates their column k, and a swap exchanges their columns
+    k-1 and k.  The basis changes themselves are exact integer column
+    operations on T, so T is unimodular whatever the rounding.  On return
+    T^T gram T satisfies |mu_kj| <= 1/2 and
+    B_k >= (LLL_DELTA - mu_(k,k-1)^2) B_(k-1), up to rounding.
 
-    The Gram-Schmidt sums are accumulated left to right with plain float
-    additions of the products (mu_ji * mu_ki) * B_i, so T, and with it every
-    search statistic, is the same on every supported interpreter.  They
-    must not be taken with ``sum()``, which Python 3.12 made compensated,
-    nor with ``math.fsum`` or ``np.dot``: each rounds differently, and a
-    different rounding changes T on some Grams.
+    The first-visit sums are accumulated left to right with plain float
+    additions of the products (mu_ji * mu_ki) * B_i and mu_kj^2 * B_j, so
+    T, and with it every search statistic, is the same on every supported
+    interpreter.  They must not be taken with ``sum()``, which Python 3.12
+    made compensated, nor with ``math.fsum`` or ``np.dot``: each rounds
+    differently, and a different rounding changes T on some Grams.
+    Scaling the Gram by a power of two scales every B_k and leaves every
+    mu_kj unchanged, bit for bit, so it leaves T unchanged.
     """
     n = gram.shape[0]
-    g = [[float(v) for v in row] for row in gram]  # Gram of the current basis
+    g = [[float(v) for v in row] for row in gram]  # rows above k_max: Gram of the current basis
     t = [[int(i == j) for j in range(n)] for i in range(n)]  # t[k]: basis vector k
-    mu = [[0.0] * n for _ in range(n)]
+    mu = [[0.0] * n for _ in range(n)]  # mu[k][j] for j < k; the rest is never read
     b = [g[0][0]] + [0.0] * (n - 1)  # squared Gram-Schmidt lengths
-    k, swaps = 1, 0
+    k, k_max, swaps = 1, 0, 0
+
+    def size_reduce(k, l):
+        # basis vector k -= round(mu_kl) * basis vector l
+        q = round(mu[k][l])
+        if q:
+            t[k] = [x - q * y for x, y in zip(t[k], t[l])]
+            for row in g[k_max + 1 :]:
+                row[k] -= q * row[l]
+            mk, ml = mu[k], mu[l]
+            mk[l] -= q
+            for i in range(l):
+                mk[i] -= q * ml[i]
+
     while k < n and swaps < _LLL_MAX_SWAPS:
-        mk, gk = mu[k], g[k]
-        for j in range(k):
-            mj = mu[j]
+        if k > k_max:
+            k_max = k
+            mk, gk = mu[k], g[k]
+            for j in range(k):
+                mj = mu[j]
+                s = 0.0
+                for i in range(j):
+                    s += mj[i] * mk[i] * b[i]
+                mk[j] = (gk[j] - s) / b[j]
             s = 0.0
-            for i in range(j):
-                s += mj[i] * mk[i] * b[i]
-            mk[j] = (gk[j] - s) / b[j]
-        s = 0.0
-        for j in range(k):
-            s += mk[j] * mk[j] * b[j]
-        b[k] = gk[k] - s
-        for l in range(k - 1, -1, -1):
-            q = round(mk[l])
-            if q:
-                # basis vector k -= q * basis vector l, in T and in g
-                t[k] = [x - q * y for x, y in zip(t[k], t[l])]
-                gk = g[k] = [x - q * y for x, y in zip(gk, g[l])]
-                gk[k] -= q * gk[l]
-                for row, x in zip(g, gk):
-                    row[k] = x
-                ml = mu[l]
-                mk[l] -= q
-                for i in range(l):
-                    mk[i] -= q * ml[i]
-        if b[k] < (LLL_DELTA - mk[k - 1] * mk[k - 1]) * b[k - 1]:
+            for j in range(k):
+                s += mk[j] * mk[j] * b[j]
+            b[k] = gk[k] - s
+        size_reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if b[k] < (LLL_DELTA - m * m) * b[k - 1]:
+            # swap basis vectors k-1 and k; rows k-1 and k of mu trade
+            # places, which moves their entries j < k-1, all that is read
             t[k - 1], t[k] = t[k], t[k - 1]
-            g[k - 1], g[k] = g[k], g[k - 1]
-            for row in g:
+            for row in g[k_max + 1 :]:
                 row[k - 1], row[k] = row[k], row[k - 1]
+            mu[k - 1], mu[k] = mu[k], mu[k - 1]
+            b_new = b[k] + m * m * b[k - 1]  # the new B_(k-1)
+            mk = mu[k]
+            mk[k - 1] = m * b[k - 1] / b_new
+            b[k] = b[k - 1] * b[k] / b_new
+            b[k - 1] = b_new
+            for mi in mu[k + 1 : k_max + 1]:
+                x = mi[k]
+                mi[k] = mi[k - 1] - m * x
+                mi[k - 1] = x + mk[k - 1] * mi[k]
             swaps += 1
-            if k == 1:
-                b[0] = g[0][0]
             k = max(k - 1, 1)
         else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
             k += 1
     return np.array(t, dtype=np.int64).T
 
@@ -641,7 +668,7 @@ def successive_minima(
     A ball the lattice already searched at a larger radius, under the same
     norm and budget, is read instead, and the profile reports that search's
     nodes.  On budget exhaustion an empty, uncertified profile reports the
-    nodes visited.
+    budget as its nodes.
     """
     max_k = lattice.max_f_rank if mode == "f-rank" else lattice.z_rank
     if not 1 <= count <= max_k:
