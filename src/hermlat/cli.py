@@ -38,6 +38,12 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNCERTIFIED = 3
 
+PRECISION_HELP = (
+    "bits p of the root refinement: it runs at max(30, floor(0.35 p) + 25) digits and "
+    "certifies each root's residual and separation at 2^-p; the float embeddings do not "
+    "change with it"
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -50,8 +56,7 @@ def _build_parser() -> _Parser:
 
     def common(sp, fixture_help):
         sp.add_argument("--fixture", required=True, help=fixture_help)
-        sp.add_argument("--precision", type=int, default=DEFAULT_PREC_BITS,
-                        help="embedding precision in bits")
+        sp.add_argument("--precision", type=int, default=DEFAULT_PREC_BITS, help=PRECISION_HELP)
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     sp = sub.add_parser("field", help="inspect a field fixture")
@@ -84,7 +89,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PREC_BITS)
+    sp.add_argument("--precision", type=int, default=DEFAULT_PREC_BITS, help=PRECISION_HELP)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("bounds", help="evaluate the explicit height-bound formulas")

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .bundles import HermitianBundle, NormedLattice, PrecisionError, module_coords, stack_forms
-from .minima import DEFAULT_BUDGET, TOL, BudgetExhausted, successive_minima
+from .minima import DEFAULT_BUDGET, TOL, BudgetExhausted, check_budget, successive_minima
 from .numberfield import FieldElement, NumberField
 
 
@@ -240,8 +240,10 @@ def _shortest_vector(
 
     The result is kept in the field's memo under ``key`` together with the
     search's node count, so a later call whose budget is below that count
-    raises BudgetExhausted (naming the ``search``) just as a first one would.
+    raises BudgetExhausted (naming the ``search``) just as a first one would,
+    and a budget below 1 is a ValueError either way.
     """
+    check_budget(budget)
 
     def build():
         profile = successive_minima(lattice(nf), 1, "q-rank", "sup", budget)

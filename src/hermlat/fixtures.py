@@ -13,7 +13,7 @@ Bundle fixture (JSON object):
                   is an N x N matrix of [re, im] pairs, row-major
 
 Curve-invariants fixture (JSON object):
-    g, r, omega_sq, residual_C, and either disc (integer) or log_disc
+    g, r, omega_sq, residual_C, and either disc (nonzero integer) or log_disc
 
 Unknown keys are rejected.
 """
@@ -142,7 +142,10 @@ def load_invariants(path: str | Path) -> CurveInvariants:
         raise FixtureError("invariants fixture: give disc or log_disc, not both")
     log_disc = 0.0
     if "disc" in obj:
-        log_disc = math.log(abs(int(obj["disc"]))) if obj["disc"] not in (0, 1, -1) else 0.0
+        disc = obj["disc"]
+        if not isinstance(disc, int) or isinstance(disc, bool) or disc == 0:
+            raise FixtureError(f"invariants fixture: disc must be a nonzero integer, got {disc!r}")
+        log_disc = math.log(abs(disc))
     elif "log_disc" in obj:
         log_disc = float(obj["log_disc"])
     try:

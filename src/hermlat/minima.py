@@ -442,6 +442,12 @@ def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
     return lattice.memoized(("reduced", g.tobytes()), build)
 
 
+def check_budget(budget: int) -> None:
+    """ValueError for a node budget below 1, which no search can honour."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 node, got {budget}")
+
+
 def enumerate_below(
     lattice: NormedLattice,
     norm: Norm,
@@ -469,6 +475,7 @@ def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ba
     that share one memo share their balls: over Q the dual-bundle and
     trace-dual profiles search the same ones.
     """
+    check_budget(budget)
     norm_key = norm if lattice.n_embeddings > 1 else "sup"  # one embedding: sup = sum
     key = (lattice.forms.tobytes(), norm_key, budget)
     ball_key, exhausted_key = ("ball", *key), ("exhausted", *key)

@@ -7,9 +7,14 @@ the discriminant of the given order is an exact integer.  Irreducibility of
 f and its number of real roots are decided in exact integer arithmetic: a
 distinct-degree factorisation modulo small primes certifies irreducibility
 (sympy's exact test decides only the polynomials it leaves open), and a
-Sturm sequence counts the real roots.  Embeddings are refined numerically to
-a configurable precision and kept both as mpmath values and as machine
-complex numbers for the lattice code.
+Sturm sequence counts the real roots.  The embeddings are the roots of f,
+seeded by ``numpy.roots``, refined together in ``decimal`` to a precision
+set by ``prec_bits`` and certified there (``_compute_embeddings``, which
+also gives the rule that sets a real part below the certified bound to
+exactly 0).  The refined roots are kept on the field as Decimals, and the
+lattice code reads them rounded to machine complex numbers, which do not
+change with ``prec_bits``.  ``embed_mp`` converts them to mpmath on demand;
+nothing else imports mpmath.
 
 All constructed objects are immutable after ``build_field`` returns and are
 safe for unrestricted concurrent reads.
@@ -17,16 +22,20 @@ safe for unrestricted concurrent reads.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
+import numpy as np
 
 from . import exactlinalg as xl
 
 DEFAULT_PREC_BITS = 64
+# Weierstrass steps of the root refinement before its certification decides
+_MAX_STEPS = 100
 
 # primes tried by the mod-p irreducibility certificate
 _CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
@@ -101,12 +110,18 @@ class FieldElement:
             acc = acc * root + float(c)
         return acc
 
-    def embed_mp(self, idx: int) -> mpmath.mpc:
-        """High-precision value under the idx-th embedding."""
-        root = self.nf._embeddings_mp[idx]
-        acc = mpmath.mpf(0)
-        for c in reversed(self.coords):
-            acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
+    def embed_mp(self, idx: int) -> "mpmath.mpc":
+        """Value under the idx-th embedding as an mpmath number, computed at
+        the field's working digits from its refined roots.  mpmath is
+        imported here, and only here."""
+        import mpmath
+
+        re, im = self.nf._embeddings_hp[idx]
+        with mpmath.workdps(_working_digits(self.nf.prec_bits)):
+            root = mpmath.mpc(str(re), str(im))
+            acc = mpmath.mpf(0)
+            for c in reversed(self.coords):
+                acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
         return acc
 
     def _check(self, other):
@@ -138,7 +153,7 @@ class NumberField:
     prec_bits: int
     power_basis_order: bool  # True when the order is Z[theta], maximality unverified
     _power_sums: tuple[Fraction, ...] = field(repr=False)
-    _embeddings_mp: tuple = field(repr=False)
+    _embeddings_hp: tuple[tuple[Decimal, Decimal], ...] = field(repr=False)  # refined (re, im)
     # objects that depend only on the field, built on first use by ``memoized``
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -397,6 +412,65 @@ def _real_root_count(coeffs: Sequence[int]) -> int:
     return changes(at_minus) - changes(at_plus)
 
 
+def _working_digits(prec_bits: int) -> int:
+    """Decimal digits the roots are refined to and kept at, for ``prec_bits``."""
+    return max(30, int(prec_bits * 0.35) + 25)
+
+
+# Complex numbers in the root refinement are (re, im) pairs of Decimals,
+# computed in the decimal context that ``_compute_embeddings`` sets.
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a, b):
+    d = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d
+
+
+def _cabs_sq(a):
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _poly_at(coeffs: Sequence[int], z):
+    """f(z) by Horner's rule."""
+    acc = (Decimal(0), Decimal(0))
+    for c in reversed(coeffs):
+        re, im = _cmul(acc, z)
+        acc = (re + c, im)
+    return acc
+
+
+def _refine_roots(coeffs: Sequence[int], digits: int) -> list:
+    """All roots of f, refined together by Weierstrass (Durand-Kerner) steps
+    from the float roots of ``numpy.roots``.
+
+    Each step moves every root z_i by f(z_i) / prod_(j != i) (z_i - z_j);
+    the product repels the iterates from each other, so two of them are not
+    drawn to one simple root.  The steps stop once every move is below
+    10^(10 - digits) times the root's size, a little above the rounding
+    level of f(z) at ``digits`` digits; the certification in
+    ``_compute_embeddings`` decides whether the result is good enough.
+    """
+    zs = [(Decimal(z.real), Decimal(z.imag)) for z in np.roots(coeffs[::-1]).astype(complex)]
+    tol_sq = Decimal(10) ** (20 - 2 * digits)
+    for _ in range(_MAX_STEPS):
+        converged = True
+        for i, z in enumerate(zs):
+            q = (Decimal(1), Decimal(0))
+            for j, w in enumerate(zs):
+                if j != i:
+                    q = _cmul(q, (z[0] - w[0], z[1] - w[1]))
+            step = _cdiv(_poly_at(coeffs, z), q)
+            zs[i] = (z[0] - step[0], z[1] - step[1])
+            converged = converged and _cabs_sq(step) <= tol_sq * (1 + _cabs_sq(z))
+        if converged:
+            break
+    return zs
+
+
 def _compute_embeddings(coeffs: Sequence[int], prec_bits: int):
     """Roots of f ordered deterministically: real ascending, then conjugate
     pairs by (Re, Im) with the positive-imaginary root first.
@@ -404,72 +478,87 @@ def _compute_embeddings(coeffs: Sequence[int], prec_bits: int):
     The number of real roots is counted exactly by a Sturm sequence; f is
     irreducible, hence squarefree, so every root is simple and the count is
     the number of real embeddings.  The real/complex split therefore never
-    depends on a float threshold.  Each root is Newton-refined and certified
-    by a residual bound.
+    depends on a float threshold.
+
+    The roots are refined together in ``decimal`` at ``_working_digits``
+    digits (``_refine_roots``) and certified at eps = 2^-prec_bits: the
+    residual |f(z)| is at most eps * height * (1 + |z|)^r, and two roots lie
+    more than 4 eps (1 + |z|) apart.  Otherwise FieldError is raised.
+
+    Zero rule: a real part at most eps (1 + |z|) is set to exactly 0; where
+    the true value is 0 the refinement leaves about 10^-digits of noise.
+    Re z = 0 for a root z only when f(-x) = +-f(x), since -zbar is then a
+    common root of f and f(-x), and an irreducible f that shares a root
+    with f(-x) divides it.  For such f, -zbar is a root of f, so a nonzero
+    real part is half the distance between two roots, which the separation
+    check puts above 2 eps (1 + |z|); for any other f a real part that
+    small raises FieldError.  An imaginary part, half the distance from z
+    to zbar, is never that small; the real roots keep their real parts only.
+
+    For a small-height f the separation check cannot fire at 64 bits or
+    more: Mahler's bound on the distance between two roots,
+    sqrt(3) |disc f|^(1/2) r^(-(r+2)/2) ||f||_2^(1-r), exceeds 2^-47 for
+    every f of degree at most 8 with coefficients in [-9, 9].  For the real
+    part of a root of any other f the same bound, applied to f(x) f(-x),
+    gives only 2^-176, so there the FieldError is what guarantees the rule.
+
+    Returns the machine-precision embeddings (each component the correctly
+    rounded double of the refined value), the refined roots as (re, im)
+    Decimal pairs, ``conj_index`` and the signature.
     """
     r = len(coeffs) - 1
     n_real = _real_root_count(coeffs)
+    digits = _working_digits(prec_bits)
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        try:
+            roots = _refine_roots(coeffs, digits)
+        except ArithmeticError:  # two iterates coincide
+            raise FieldError(f"roots of f are not separated at precision {prec_bits}") from None
+        eps = Decimal(2) ** -prec_bits
+        size = [1 + _cabs_sq(z).sqrt() for z in roots]  # 1 + |z|
 
-    dps = max(30, int(prec_bits * 0.35) + 25)
-    with mpmath.workdps(dps):
-        mp_coeffs = [mpmath.mpf(int(c)) for c in reversed(coeffs)]
-        roots = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=prec_bits)
-
-        def f_val(z):
-            acc = mpmath.mpf(0)
-            for c in mp_coeffs:
-                acc = acc * z + c
-            return acc
-
-        def fp_val(z):
-            acc = mpmath.mpf(0)
-            deg = len(mp_coeffs) - 1
-            for k, c in enumerate(mp_coeffs[:-1]):
-                acc = acc * z + c * (deg - k)
-            return acc
-
-        refined = []
-        for z in roots:
-            for _ in range(3):
-                fz = f_val(z)
-                fpz = fp_val(z)
-                if abs(fpz) > 0:
-                    z = z - fz / fpz
-            refined.append(z)
-
-        # residual certification: |f(root)| below a precision-dependent bound
-        height = max(abs(int(c)) for c in coeffs)
-        for z in refined:
-            scale = height * (1 + abs(z)) ** r
-            residual = abs(f_val(z))
-            if residual > mpmath.mpf(2) ** (-prec_bits) * scale:
+        height = max(abs(c) for c in coeffs)
+        for z, sz in zip(roots, size):
+            residual = _cabs_sq(_poly_at(coeffs, z)).sqrt()
+            if residual > eps * height * sz**r:
                 raise FieldError(
-                    f"embedding residual {residual} exceeds certified bound at precision {prec_bits}"
+                    f"embedding residual {residual:.3e} exceeds certified bound at precision {prec_bits}"
                 )
+        for i in range(r):
+            for j in range(i):
+                gap = _cabs_sq((roots[i][0] - roots[j][0], roots[i][1] - roots[j][1])).sqrt()
+                if gap <= 4 * eps * max(size[i], size[j]):
+                    raise FieldError(f"roots of f are not separated at precision {prec_bits}")
+
+        symmetric = not any(coeffs[0::2]) or not any(coeffs[1::2])  # f(-x) = +-f(x)
+
+        def real_part(i):
+            re = roots[i][0]
+            if abs(re) > eps * size[i]:
+                return re
+            if not symmetric:
+                raise FieldError(
+                    f"a root's real part is not separated from 0 at precision {prec_bits}"
+                )
+            return Decimal(0)
 
         # classify: the n_real roots with smallest |Im| are the real ones
-        order = sorted(range(len(refined)), key=lambda i: abs(mpmath.im(refined[i])))
+        order = sorted(range(r), key=lambda i: abs(roots[i][1]))
         real_idx = set(order[:n_real])
-        reals = sorted(
-            (mpmath.mpf(mpmath.re(refined[i])) for i in real_idx), key=lambda v: float(v)
-        )
-        complexes = [refined[i] for i in range(len(refined)) if i not in real_idx]
-        pos = sorted(
-            (z for z in complexes if mpmath.im(z) > 0),
-            key=lambda z: (float(mpmath.re(z)), float(mpmath.im(z))),
-        )
+        reals = sorted(real_part(i) for i in real_idx)
+        complexes = [(real_part(i), roots[i][1]) for i in range(r) if i not in real_idx]
+        pos = sorted(z for z in complexes if z[1] > 0)
         if 2 * len(pos) != len(complexes):
             raise FieldError("complex roots do not split into conjugate pairs")
 
-        embeddings_mp: list = list(reals)
-        conj_index = list(range(len(reals)))
-        for z in pos:
-            i = len(embeddings_mp)
-            embeddings_mp.append(z)
-            embeddings_mp.append(mpmath.conj(z))
-            conj_index.extend([i + 1, i])
-        embeddings = tuple(complex(z) for z in embeddings_mp)
-    return embeddings, embeddings_mp, tuple(conj_index), (n_real, len(pos))
+    embeddings_hp = [(x, Decimal(0)) for x in reals]
+    conj_index = list(range(len(reals)))
+    for z in pos:
+        i = len(embeddings_hp)
+        embeddings_hp += [z, (z[0], z[1].copy_negate())]
+        conj_index.extend([i + 1, i])
+    embeddings = tuple(complex(float(re), float(im)) for re, im in embeddings_hp)
+    return embeddings, tuple(embeddings_hp), tuple(conj_index), (n_real, len(pos))
 
 
 def build_field(
@@ -497,7 +586,7 @@ def build_field(
 
     power_sums = tuple(_power_sums(coeffs, max(2 * r - 2, 1)))
 
-    embeddings, embeddings_mp, conj_index, signature = _compute_embeddings(coeffs, prec_bits)
+    embeddings, embeddings_hp, conj_index, signature = _compute_embeddings(coeffs, prec_bits)
     if signature[0] + 2 * signature[1] != r:
         raise FieldError("signature does not match the degree")
 
@@ -546,7 +635,7 @@ def build_field(
         prec_bits=prec_bits,
         power_basis_order=integral_basis is None,
         _power_sums=power_sums,
-        _embeddings_mp=tuple(embeddings_mp),
+        _embeddings_hp=embeddings_hp,
     )
     # the basis elements refer to the field, so they are set once it exists
     object.__setattr__(nf, "integral_basis", tuple(FieldElement(nf, tuple(row)) for row in basis_rows))

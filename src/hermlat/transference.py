@@ -444,8 +444,15 @@ def fuzz(
     """Seeded randomized sweep of all checkers; deterministic for a fixed seed.
 
     Desk-scale guard: rank_max times the largest field degree must not
-    exceed 12 unless allow_large is set.
+    exceed 12 unless allow_large is set.  ``fields`` must be non-empty,
+    ``rank_max`` at least 1 and ``trials`` non-negative (ValueError).
     """
+    if not fields:
+        raise ValueError("fuzz needs at least one field")
+    if rank_max < 1:
+        raise ValueError(f"rank_max must be at least 1, got {rank_max}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     max_deg = max(nf.degree for nf in fields)
     if rank_max * max_deg > 12 and not allow_large:
         raise ValueError("rank_max * max degree exceeds the desk-scale guard of 12")

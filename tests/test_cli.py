@@ -2,13 +2,14 @@
 
 import io
 import json
+import math
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
 import pytest
 
 from hermlat.cli import main
-from hermlat.fixtures import load_bundle
+from hermlat.fixtures import FixtureError, load_bundle, load_invariants
 from hermlat.reports import render_report
 from hermlat.transference import STATEMENTS, check_all
 
@@ -152,6 +153,47 @@ def test_budget_exhaustion_exit_code():
     ])
     assert code == 3
     assert "certified: no" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["minima", "--fixture", str(FIXDIR / "bundle_gaussian_rank1.json"), "--k", "1", "--budget", "-3"],
+    ["check", "--fixture", str(FIXDIR / "bundle_gaussian_rank1.json"), "--budget", "0"],
+    ["fuzz", "--fields", str(FIXDIR / "field_q.json"), "--trials", "1", "--budget", "0"],
+], ids=["minima", "check", "fuzz"])
+def test_budget_below_one_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert "budget must be at least 1" in err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--rank-max=0", "rank_max must be at least 1"),
+    ("--trials=-1", "trials must be non-negative"),
+])
+def test_fuzz_arguments_validated(flag, message):
+    code, out, err = run_cli(["fuzz", "--fields", str(FIXDIR / "field_q.json"), flag])
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("disc", [0, True, 2.7, "12"], ids=["zero", "bool", "float", "string"])
+def test_invariants_disc_must_be_a_nonzero_integer(tmp_path, disc):
+    f = tmp_path / "invariants.json"
+    f.write_text(json.dumps({"g": 2, "omega_sq": 1.0, "disc": disc}))
+    with pytest.raises(FixtureError, match="disc must be a nonzero integer"):
+        load_invariants(f)
+    code, out, err = run_cli(["bounds", "--fixture", str(f), "--d", "5"])
+    assert code == 1
+    assert out == ""
+    assert "disc must be a nonzero integer" in err
+
+
+def test_invariants_disc_gives_log_disc(tmp_path):
+    f = tmp_path / "invariants.json"
+    f.write_text(json.dumps({"g": 2, "omega_sq": 1.0, "disc": -12}))
+    assert load_invariants(f).log_disc == math.log(12)
 
 
 def test_uncertified_check_exit_code():

@@ -205,15 +205,20 @@ def test_transfer_vector_values(field_q, field_qi, field_sqrt2, field_sqrt_minus
 @pytest.mark.parametrize("search", [transfer_vector, minkowski_codifferent_vector])
 def test_field_vector_search_keeps_its_node_count(search):
     # over zeta5 each search needs 24 nodes; once a default-budget call has
-    # memoized the vector, a smaller budget still raises, as on a fresh field
+    # memoized the vector, a smaller budget still raises, as on a fresh field,
+    # and a budget below 1 is a ValueError before and after
     nf = load_field(FIXDIR / "field_zeta5.json")
     with pytest.raises(BudgetExhausted):
         search(nf, 23)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        search(nf, 0)
     found = search(nf)
     assert search(nf, 24) == found
     for budget in (10, 23):
         with pytest.raises(BudgetExhausted):
             search(nf, budget)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        search(nf, 0)
 
 
 def test_dual_minima_comparison_q_trivial(field_q):

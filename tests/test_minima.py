@@ -772,6 +772,15 @@ def test_budget_exhaustion_uncertified(field_qi):
     assert not prof.certified
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_rejected(field_qi, budget):
+    lat = restrict_scalars(identity_bundle(field_qi, rank=2))
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        successive_minima(lat, 1, "f-rank", "sup", budget=budget)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        enumerate_below(lat, "sup", 1.0, budget=budget)
+
+
 def test_k_out_of_range(field_q):
     lat = restrict_scalars(make_bundle(field_q, 2, [np.eye(2)]))
     with pytest.raises(ValueError):

@@ -4,10 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -153,14 +156,14 @@ for name in shipped_field_names():
     for bits in (64, 256):
         shipped_field(name, bits)
 code = cli.main(["check", "--fixture", "fixtures/bundle_gaussian_rank1.json", "--statement", "all"])
-print(json.dumps({"code": code, "sympy": "sympy" in sys.modules}))
+print(json.dumps({"code": code, "sympy": "sympy" in sys.modules, "mpmath": "mpmath" in sys.modules}))
 """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "sympy": False}
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "sympy": False, "mpmath": False}
 
 
 def test_degree_zero_rejected():
@@ -220,6 +223,117 @@ def test_embedding_residuals(all_fields):
         for root in nf.embeddings:
             val = sum(c * root**k for k, c in enumerate(coeffs))
             assert abs(val) < 1e-12
+
+
+# float embeddings as float.hex, with conj_index and signature, recorded with
+# the earlier root finder (mpmath.polyroots) for the shipped and corpus fields
+PINNED_EMBEDDINGS = json.loads((ROOT / "tests" / "golden" / "embeddings.json").read_text())
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("name", PINNED_EMBEDDINGS)
+def test_embeddings_pinned(name, bits):
+    pinned = PINNED_EMBEDDINGS[name]
+    nf = build_field(pinned["poly"], prec_bits=bits)
+    assert [[z.real.hex(), z.imag.hex()] for z in nf.embeddings] == pinned["embeddings"]
+    assert list(nf.conj_index) == pinned["conj_index"]
+    assert list(nf.signature) == pinned["signature"]
+
+
+def _random_irreducible(count: int, seed: int) -> list[list[int]]:
+    """Seeded irreducible monic polynomials of degree 2-8, coefficients in [-9, 9]."""
+    rng = random.Random(seed)
+    x = sympy.symbols("x")
+    polys = []
+    while len(polys) < count:
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [1]
+        if sympy.Poly(list(reversed(f)), x, domain="QQ").is_irreducible:
+            polys.append(f)
+    return polys
+
+
+RANDOM_POLYS = _random_irreducible(24, seed=2)
+
+
+@cache
+def _reference_roots(poly: tuple[int, ...]) -> list:
+    """Roots of f in the embedding order at 100 digits: mpmath.polyroots, three
+    Newton steps, components below 1e-60 set to 0; real ascending, then
+    conjugate pairs by (Re, Im) with the positive-imaginary root first."""
+    with mpmath.workdps(100):
+        coeffs = list(reversed(poly))
+        roots = []
+        for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=400):
+            for _ in range(3):
+                value, slope = mpmath.polyval(coeffs, z, derivative=True)
+                z -= value / slope
+            re, im = (c if abs(c) > mpmath.mpf("1e-60") else mpmath.mpf(0) for c in (z.real, z.imag))
+            roots.append((re, im))
+        reals = sorted(re for re, im in roots if im == 0)
+        upper = sorted((re, im) for re, im in roots if im > 0)
+        ordered = [mpmath.mpc(re) for re in reals]
+        for re, im in upper:
+            ordered += [mpmath.mpc(re, im), mpmath.mpc(re, -im)]
+    return ordered
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_embeddings_match_high_precision_reference(bits):
+    for poly in RANDOM_POLYS:
+        nf = build_field(poly, prec_bits=bits)
+        reference = _reference_roots(tuple(poly))
+        # correctly rounded doubles of the 100-digit roots
+        expected = [complex(float(z.real), float(z.imag)) for z in reference]
+        assert [(z.real.hex(), z.imag.hex()) for z in nf.embeddings] == [
+            (z.real.hex(), z.imag.hex()) for z in expected
+        ], poly
+        n_real = sum(1 for z in expected if z.imag == 0)
+        assert nf.signature == (n_real, (nf.degree - n_real) // 2), poly
+        assert nf.conj_index == tuple(
+            s if s < n_real else s + 1 - 2 * ((s - n_real) % 2) for s in range(nf.degree)
+        ), poly
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_embed_mp_matches_high_precision_reference(bits):
+    for poly in RANDOM_POLYS[:8]:
+        nf = build_field(poly, prec_bits=bits)
+        a = nf.element([Fraction((-1) ** k * (k + 1), k + 2) for k in range(nf.degree)])
+        # embed_mp sets its own precision: it is called at mpmath's default 53 bits
+        got = [a.embed_mp(s) for s in range(nf.degree)]
+        with mpmath.workdps(100):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(a.coords)]
+            for s, root in enumerate(_reference_roots(tuple(poly))):
+                want = mpmath.polyval(coeffs, root)
+                assert abs(got[s] - want) <= mpmath.mpf(2) ** -bits * (1 + abs(want)), (poly, s)
+
+
+def test_zero_rule():
+    # the purely imaginary roots of the even x^4 - 2 and x^2 + 49 get real part +0.0
+    assert [z.real.hex() for z in build_field([-2, 0, 0, 0, 1]).embeddings[2:]] == ["0x0.0p+0"] * 2
+    assert build_field([49, 0, 1], prec_bits=4).embeddings[0].real.hex() == "0x0.0p+0"
+    # x^2 + x + 49 is not even, so no root has real part 0; at 4 bits its real
+    # part -1/2 lies within 2^-4 (1 + |z|) = 1/2 of 0
+    with pytest.raises(FieldError, match="real part"):
+        build_field([49, 1, 1], prec_bits=4)
+
+
+def test_root_certificates(monkeypatch):
+    # two roots on one point fail the separation check, a point off the
+    # roots fails the residual check, and coincident seeds stop the refinement
+    one = (Decimal(0), Decimal(1))
+    monkeypatch.setattr(numberfield, "_refine_roots", lambda coeffs, digits: [one, one])
+    with pytest.raises(FieldError, match="not separated"):
+        build_field([1, 0, 1])
+    monkeypatch.setattr(
+        numberfield, "_refine_roots", lambda coeffs, digits: [(Decimal(0), Decimal("1.001")), one]
+    )
+    with pytest.raises(FieldError, match="residual"):
+        build_field([1, 0, 1])
+    monkeypatch.undo()
+    monkeypatch.setattr(numberfield.np, "roots", lambda coeffs: np.array([1j, 1j]))
+    with pytest.raises(FieldError, match="not separated"):
+        build_field([1, 0, 1])
 
 
 def test_element_arithmetic_exact(field_qi):

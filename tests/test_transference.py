@@ -227,6 +227,16 @@ def test_fuzz_desk_scale_guard(field_zeta5):
         fuzz([field_zeta5], 4, 1, seed=1)  # N*r = 16 > 12
 
 
+def test_fuzz_arguments_validated(field_q):
+    with pytest.raises(ValueError, match="at least one field"):
+        fuzz([], 1, 1, seed=0)
+    with pytest.raises(ValueError, match="rank_max must be at least 1"):
+        fuzz([field_q], 0, 1, seed=0)
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        fuzz([field_q], 1, -1, seed=0)
+    assert fuzz([field_q], 1, 0, seed=0) == []
+
+
 def test_fuzz_at_desk_scale_limit(field_qi, field_sqrt2):
     # rank_max 6 over degree-2 fields (N*r up to 12) needs no allow_large;
     # seed 5 draws two rank-5 bundles, N*r = 10
