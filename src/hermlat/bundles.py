@@ -1,13 +1,16 @@
-"""Hermitian bundles over a ring of integers and their restriction to Z-lattices.
+"""Hermitian bundles over a ring of integers and the Z-lattices they define.
 
 A bundle is a free rank-N module over the ring of integers of F together
-with one hermitian positive-definite Gram matrix per complex embedding,
-the family being invariant under complex conjugation.  Restriction of
-scalars turns it into a Z-lattice of rank N*r carrying one norm per
-embedding plus the aggregated Euclidean form Q(x) = sum_sigma |x|_sigma^2.
-``NormedLattice`` is that lattice type for every lattice the minima engine
-runs on: the restricted bundles here, and the trace-dual and ideal
-lattices of ``hermlat.duality``.
+with one hermitian positive-definite Gram H_s per complex embedding s, the
+family being invariant under complex conjugation; ``dual_bundle`` gives
+E* the dual metric, with Grams conj(H_s^-1).  ``NormedLattice`` is the
+lattice type of every lattice the minima engine runs on, and
+``assemble_forms`` builds their forms from such a family over a Z-basis
+(b_i) of one module slot: with A_s the N x (N*r) matrix holding
+sigma_s(b_i) in row j, columns j*r + i, the form at s is
+Re(A_s^H H_s A_s), and Q(x) = sum_s |x|_s^2 is their sum.  Restriction of
+scalars uses the integral basis; ``hermlat.duality`` uses the codifferent
+basis for the trace dual and a one-slot Gram [[t_s^2]] for ideal lattices.
 
 Everything is immutable after construction, apart from a lattice's memo of
 deterministic derived data; concurrent reads are safe.  The memo's balls
@@ -237,18 +240,28 @@ def stack_forms(
     return np.stack(forms), gram
 
 
-def restrict_scalars(bundle: HermitianBundle) -> NormedLattice:
-    """The rank-(N*r) Z-lattice underlying a bundle, with per-embedding norms."""
-    nf = bundle.nf
-    n, r = bundle.rank, nf.degree
+def assemble_forms(
+    nf: NumberField, grams: Sequence[np.ndarray], basis: Sequence[FieldElement], what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked forms and Euclidean Gram of the lattice spanned by basis[i] in
+    module slot j (z-index j*r + i), normed at embedding s by the N x N
+    hermitian Gram grams[s] on module coordinates: Re(A_s^H grams[s] A_s),
+    see the module docstring."""
+    n, r = len(grams[0]), nf.degree
     forms = []
-    for s, row in enumerate(nf.basis_embeddings):
+    for s, row in enumerate(nf.basis_embeddings(basis)):
         a = np.zeros((n, n * r), dtype=complex)
         for j in range(n):
             a[j, j * r : (j + 1) * r] = row
-        p = a.conj().T @ bundle.grams[s] @ a
+        p = a.conj().T @ grams[s] @ a
         forms.append(np.real(p + p.conj().T) / 2)  # x real => x^T Re(P) x = |x|^2_sigma
-    stacked, gram = stack_forms(forms, nf.conj_index, "restricted lattice")
+    return stack_forms(forms, nf.conj_index, what)
+
+
+def restrict_scalars(bundle: HermitianBundle) -> NormedLattice:
+    """The rank-(N*r) Z-lattice underlying a bundle, with per-embedding norms."""
+    nf = bundle.nf
+    stacked, gram = assemble_forms(nf, bundle.grams, nf.integral_basis, "restricted lattice")
     return NormedLattice(
-        nf, n, nf.integral_basis, stacked, gram, functools.partial(BundleVector, bundle)
+        nf, bundle.rank, nf.integral_basis, stacked, gram, functools.partial(BundleVector, bundle)
     )

@@ -2,33 +2,40 @@
 
 The trace module is Hom_Z(O_F, Z).  Every functional is x -> Tr(t*x) for a
 unique t in the codifferent (the trace-dual lattice of O_F), so the module
-is realized inside F by the codifferent basis, the trace pairing giving
-exact biorthogonality with the integral basis.  The canonical generator Tr
-carries the metric weight 1 at real embeddings and 2 at complex ones: as a
-real-linear functional on the completion at a complex place, Tr acts by
+is realized inside F by the codifferent basis c_j, with Tr(b_i c_j) =
+delta_ij checked exactly.  The canonical generator Tr carries the metric
+weight 1 at real embeddings and 2 at complex ones: as a real-linear
+functional on the completion at a complex place, Tr acts by
 z -> 2*Re(z), whose operator norm is 2.
 
-Two norm families coexist on the trace-dual lattice E^v = Hom_Z(E, Z):
+The trace dual E^v = Hom_Z(E, Z) is the dual bundle E* restricted over the
+codifferent basis.  The functional x -> sum_j Tr(t_j xi_j(x)), xi_j the
+j-th module coordinate of x, has at embedding s the component row
+(sigma_s(t_j))_j, whose dual-metric norm^2 row H_s^-1 row^H is real and so
+equals its conjugate: the norm^2 of the column row^T under conj(H_s^-1),
+the Gram of ``dual_bundle``.  So ``trace_dual`` assembles the dual
+bundle's Grams over the codifferent basis (``bundles.assemble_forms``),
+with ``DualVector`` witnesses.  Nothing is approximated: biorthogonality
+makes the codifferent's embeddings the inverse of the stack of the
+integral basis embeddings, the change of coordinates to the dual.
 
-* plain norms: the dual-metric norm of the sigma-component of the
-  C-linear extension of a functional.  Summed over all embeddings these
-  give exactly the polar norm of the sup-norm unit ball, and the induced
+Two norm families coexist on E^v:
+
+* plain norms, the ones above.  Summed over all embeddings they give
+  exactly the polar norm of the sup-norm unit ball, and the induced
   Euclidean form is the inverse of the primal form (classical dual
   lattice).  These are the default and feed the polar-transference check.
-* weighted norms: plain norms times the metric weight of the embedding.
-  These are the norms transported through the identification
-  E^v = E* (x) omega and are the ones under which the comparison
+* weighted norms: plain norms times the metric weight of the embedding
+  (``TraceDualLattice.weighted``, forms w_s^2 * P_s), the norms
+  transported through E^v = E* (x) omega, under which
   mu_k(E*) <= mu_k(E^v) + sup log|v| holds with a transfer vector v from
   the inverse trace module.
 
-Every lattice built here is a ``NormedLattice``.  The trace-dual lattice
-is one in the codifferent basis, with witnesses ``DualVector``; its
-subclass ``TraceDualLattice`` adds the exact pairing checks, and
-``weighted()`` returns the same lattice with forms w_s^2 * P_s.  The
-ideal lattices (the codifferent, the inverse trace module) have rank r,
-one module slot and field elements as witnesses.  What depends on the
-field alone (trace module, transfer and Minkowski vectors) is kept in the
-field's memo.
+``TraceDualLattice`` adds the exact pairing checks.  The ideal lattices
+(the codifferent, the inverse trace module) are assembled the same way,
+with one module slot, Grams [[t_s^2]] and field elements as witnesses.
+What depends on the field alone (trace module, transfer and Minkowski
+vectors) is kept in the field's memo.
 
 The covolume convention is fixed so that the closed form
 log|disc| - 2*r2*log(2) holds: covolumes are measured relative to the
@@ -47,7 +54,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exactlinalg as xl
-from .bundles import HermitianBundle, NormedLattice, PrecisionError, module_coords, stack_forms
+from .bundles import (
+    HermitianBundle, NormedLattice, assemble_forms, dual_bundle, module_coords, stack_forms
+)
 from .minima import DEFAULT_BUDGET, TOL, BudgetExhausted, check_budget, successive_minima
 from .numberfield import FieldElement, NumberField
 
@@ -83,35 +92,24 @@ def _build_trace_module(nf: NumberField) -> TraceModule:
         inv = xl.inverse(gram)
     except ZeroDivisionError:
         raise DualityError("singular trace Gram; field data corrupted upstream") from None
-    basis = []
-    for j in range(nf.degree):
-        c = nf.zero()
-        for i in range(nf.degree):
-            if inv[i][j]:
-                c = c + inv[i][j] * nf.integral_basis[i]
-        basis.append(c)
-    for i in range(nf.degree):
-        for j in range(nf.degree):
-            expect = Fraction(int(i == j))
-            if (nf.integral_basis[i] * basis[j]).trace() != expect:
-                raise DualityError("codifferent basis failed exact biorthogonality")
-    weights = tuple(1.0 if nf.conj_index[s] == s else 2.0 for s in range(nf.degree))
-    return TraceModule(nf, tuple(basis), weights)
+    r = nf.degree
+    basis = tuple(nf.combine(nf.integral_basis, [row[j] for row in inv]) for j in range(r))
+    for i, b in enumerate(nf.integral_basis):
+        if any((b * c).trace() != int(i == j) for j, c in enumerate(basis)):
+            raise DualityError("codifferent basis failed exact biorthogonality")
+    weights = tuple(1.0 if nf.conj_index[s] == s else 2.0 for s in range(r))
+    return TraceModule(nf, basis, weights)
 
 
 def ideal_lattice(
     nf: NumberField, basis: Sequence[FieldElement], sigma_scale: Sequence[float]
 ) -> NormedLattice:
     """The Z-lattice of field elements spanned by ``basis``, normed at
-    embedding s by sigma_scale[s] * |sigma_s(v)|."""
-    r = nf.degree
-    forms = []
-    for s in range(r):
-        row = np.array([b.embed(s) for b in basis], dtype=complex)
-        m = np.outer(row.conj(), row) * (sigma_scale[s] ** 2)
-        forms.append(np.real(m + m.conj().T) / 2)
-    stacked, gram = stack_forms(forms, nf.conj_index, "ideal lattice")
+    embedding s by sigma_scale[s] * |sigma_s(v)|: one module slot with the
+    1 x 1 Grams [[sigma_scale[s]^2]]."""
     basis = tuple(basis)
+    grams = [np.array([[t**2]], dtype=complex) for t in sigma_scale]
+    stacked, gram = assemble_forms(nf, grams, basis, "ideal lattice")
     return NormedLattice(nf, 1, basis, stacked, gram, functools.partial(nf.combine, basis))
 
 
@@ -284,7 +282,6 @@ class TraceDualLattice(NormedLattice):
     """Hom_Z(E, Z) with the plain per-embedding norms, in the codifferent basis."""
 
     source: HermitianBundle
-    dual_grams: tuple[np.ndarray, ...]  # H_sigma^{-1}
 
     def z_dual_basis(self) -> tuple[DualVector, ...]:
         """The dual Z-basis: functional i evaluates to 1 on primal basis
@@ -308,45 +305,20 @@ class TraceDualLattice(NormedLattice):
     def sigma_norm_via_alpha(self, z: Sequence[int], s: int) -> float:
         """Norm of the sigma-component computed through the exact trace
         decomposition: embed the t-vector at sigma and take the dual-metric
-        norm of the resulting functional row (bra form: row Hinv row^H).
-        Independent of the numeric inversion route in sigma_norms."""
+        norm of the resulting functional row (bra form: row H^-1 row^H).
+        Inverts the source Gram itself, so it checks the assembled forms
+        independently."""
         row = np.array([t.embed(s) for t in self.f_components(z)])
-        return float(np.sqrt(max(np.real(row @ self.dual_grams[s] @ row.conj()), 0.0)))
+        hinv = np.linalg.inv(self.source.grams[s])
+        return float(np.sqrt(max(np.real(row @ hinv @ row.conj()), 0.0)))
 
 
 def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
-    """The lattice Hom_Z(E, Z) with its per-embedding norm evaluators."""
+    """The lattice Hom_Z(E, Z): the dual bundle restricted over the
+    codifferent basis (see the module docstring)."""
     nf = bundle.nf
-    n, r = bundle.rank, nf.degree
-    zr = n * r
-    # stack the embedding maps of the restricted lattice (block s, row j
-    # holds sigma_s of the integral basis in columns j*r .. j*r+r-1) into
-    # the square change of coordinates
-    a = np.zeros((zr, zr), dtype=complex)
-    for s, row in enumerate(nf.basis_embeddings):
-        for j in range(n):
-            a[s * n + j, j * r : (j + 1) * r] = row
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise PrecisionError("embedding stack is numerically singular") from None
-    forms = []
-    dual_grams = []
-    for s in range(r):
-        c = a_inv[:, s * n : (s + 1) * n]  # zr x n
-        hinv = np.linalg.inv(bundle.grams[s])
-        hinv = (hinv + hinv.conj().T) / 2
-        m = c @ hinv @ c.conj().T
-        dual_grams.append(hinv)
-        forms.append(np.real(m + m.conj().T) / 2)
-    stacked, gram = stack_forms(forms, nf.conj_index, "trace-dual lattice")
+    basis = trace_module(nf).codifferent_basis
+    stacked, gram = assemble_forms(nf, dual_bundle(bundle).grams, basis, "trace-dual lattice")
     return TraceDualLattice(
-        nf=nf,
-        max_f_rank=n,
-        basis=trace_module(nf).codifferent_basis,
-        forms=stacked,
-        euclid_gram=gram,
-        witness=functools.partial(DualVector, bundle),
-        source=bundle,
-        dual_grams=tuple(dual_grams),
+        nf, bundle.rank, basis, stacked, gram, functools.partial(DualVector, bundle), source=bundle
     )

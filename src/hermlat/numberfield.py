@@ -83,7 +83,11 @@ class FieldElement:
         )
 
     def __hash__(self):
-        return hash((id(self.nf), self.coords))
+        # the coordinates' hash is kept once computed: memo keys such as a
+        # basis hash their elements on every lookup, at about 1 us a Fraction
+        if "_coords_hash" not in self.__dict__:
+            object.__setattr__(self, "_coords_hash", hash(self.coords))
+        return hash((id(self.nf), self.__dict__["_coords_hash"]))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -188,11 +192,11 @@ class NumberField:
             self.memo[key] = build()
         return self.memo[key]
 
-    @property
-    def basis_embeddings(self) -> tuple[tuple[complex, ...], ...]:
-        """Row s holds the integral basis elements under embedding s."""
-        return self.memoized("basis_embeddings", lambda: tuple(
-            tuple(b.embed(s) for b in self.integral_basis) for s in range(self.degree)
+    def basis_embeddings(self, basis: Sequence[FieldElement]) -> tuple[tuple[complex, ...], ...]:
+        """Row s holds the elements of ``basis`` under embedding s.  Computed
+        once per basis."""
+        return self.memoized(("basis_embeddings", tuple(basis)), lambda: tuple(
+            tuple(b.embed(s) for b in basis) for s in range(self.degree)
         ))
 
     def combine(self, basis: Sequence[FieldElement], coords: Sequence) -> FieldElement:
@@ -572,8 +576,11 @@ def build_field(
     is omitted the power basis Z[theta] is used and the resulting order may be
     non-maximal (flagged on the field).  A supplied basis is given row-wise,
     each row the power-basis coordinates of one basis element; it must contain
-    Z[theta] and have exact integral trace pairings.
+    Z[theta] and have exact integral trace pairings.  ``prec_bits`` must be
+    at least 1.
     """
+    if prec_bits < 1:
+        raise FieldError(f"precision must be at least 1 bit (prec_bits >= 1), got {prec_bits}")
     coeffs = [int(c) for c in poly]
     if len(coeffs) < 2:
         raise FieldError("defining polynomial must have degree >= 1")

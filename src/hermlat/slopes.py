@@ -47,6 +47,16 @@ class DiagonalBundle:
         return len(self.line_scales)
 
 
+def _check_scales(nf: NumberField, scales: Sequence[float]) -> None:
+    """Require one positive scale per embedding, equal at conjugate embeddings."""
+    if len(scales) != nf.degree:
+        raise BundleError("need one scale per embedding")
+    if any(t <= 0 for t in scales):
+        raise BundleError("scales must be positive")
+    if any(abs(t - scales[nf.conj_index[s]]) > 1e-12 * t for s, t in enumerate(scales)):
+        raise BundleError("scales must be conjugation-invariant")
+
+
 def diagonal_bundle(nf: NumberField, line_scales: Sequence[Sequence[float]]) -> DiagonalBundle:
     """Build a diagonal bundle from per-line, per-embedding positive scales."""
     scales = tuple(tuple(float(t) for t in line) for line in line_scales)
@@ -54,13 +64,7 @@ def diagonal_bundle(nf: NumberField, line_scales: Sequence[Sequence[float]]) -> 
     if n < 1:
         raise BundleError("need at least one line")
     for line in scales:
-        if len(line) != nf.degree:
-            raise BundleError("each line needs one scale per embedding")
-        if any(t <= 0 for t in line):
-            raise BundleError("scales must be positive")
-        for s in range(nf.degree):
-            if abs(line[s] - line[nf.conj_index[s]]) > 1e-12 * line[s]:
-                raise BundleError("scales must be conjugation-invariant")
+        _check_scales(nf, line)
     grams = []
     for s in range(nf.degree):
         grams.append(np.diag([line[s] ** 2 for line in scales]).astype(complex))
@@ -82,13 +86,7 @@ def as_diagonal(bundle: HermitianBundle) -> DiagonalBundle:
 
 def line_degree(nf: NumberField, scales: Sequence[float]) -> float:
     """Normalized arithmetic degree of a metrized line: -(sum_s log t_s)/r."""
-    if len(scales) != nf.degree:
-        raise BundleError("need one scale per embedding")
-    if any(t <= 0 for t in scales):
-        raise BundleError("scales must be positive")
-    for s in range(nf.degree):
-        if abs(scales[s] - scales[nf.conj_index[s]]) > 1e-12 * scales[s]:
-            raise BundleError("scales must be conjugation-invariant")
+    _check_scales(nf, scales)
     return -sum(math.log(t) for t in scales) / nf.degree
 
 

@@ -105,6 +105,13 @@ def test_expected_disc_validated(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("bits", ["0", "-3"])
+def test_precision_below_one_bit_is_a_usage_error(bits):
+    code, out, err = run_cli(["field", "--fixture", str(FIXDIR / "field_gaussian.json"), "--precision", bits])
+    assert code == 1 and out == ""
+    assert err == f"hermlat: precision must be at least 1 bit (prec_bits >= 1), got {bits}\n"
+
+
 def test_check_failure_exit_code():
     # negative slack forces the lower sandwich inequality to fail
     code, out, _ = run_cli([

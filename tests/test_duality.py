@@ -111,6 +111,56 @@ def test_alpha_isometry_random_vectors(all_fields):
                 assert abs(direct[s] - via_alpha) <= 1e-9 * max(1.0, via_alpha)
 
 
+def test_assembled_forms_match_the_inverted_embedding_stack(all_fields):
+    # Oracle for the trace dual: invert the complex (N*r) x (N*r) stack A of
+    # embeddings (block s, row j holds sigma_s of the integral basis in
+    # module slot j); with C_s the columns of A^-1 for block s, the form at
+    # s is Re(C_s H_s^-1 C_s^H).  Biorthogonality makes C_s the transpose of
+    # the codifferent's embeddings, so the dual bundle assembled over the
+    # codifferent basis must give the same forms.  Oracle for ideal
+    # lattices: the outer products t_s^2 conj(row)^T row of the basis
+    # embeddings.
+    from hermlat.duality import codifferent_lattice, dual_trace_module_lattice, ideal_lattice
+    from hermlat.transference import random_bundle
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    fields = {**all_fields, "x^3+x-1": build_field([-1, 1, 0, 1]),
+              "zeta7": build_field([1, 1, 1, 1, 1, 1, 1])}
+    rng = np.random.default_rng(16)
+    for nf in fields.values():
+        r = nf.degree
+        emb = [[b.embed(s) for b in nf.integral_basis] for s in range(r)]
+        for n in (1, 2, 3):
+            bundle = random_bundle(nf, n, rng)
+            a = np.zeros((n * r, n * r), dtype=complex)
+            for s in range(r):
+                for j in range(n):
+                    a[s * n + j, j * r : (j + 1) * r] = emb[s]
+            a_inv = np.linalg.inv(a)
+            want = []
+            for s in range(r):
+                c = a_inv[:, s * n : (s + 1) * n]
+                want.append(np.real(c @ np.linalg.inv(bundle.grams[s]) @ c.conj().T))
+            close(trace_dual(bundle).forms, np.stack(want))
+
+        tm = trace_module(nf)
+        scales = [float(t) for t in 0.5 + rng.random(r)]
+        scales = [max(t, scales[nf.conj_index[s]]) for s, t in enumerate(scales)]
+        cases = [
+            (codifferent_lattice(nf), tm.codifferent_basis, [1.0] * r),
+            (dual_trace_module_lattice(nf), different_lattice(nf), [1 / w for w in tm.metric_weights]),
+            (ideal_lattice(nf, nf.integral_basis, scales), nf.integral_basis, scales),
+        ]
+        for lat, basis, t in cases:
+            want = []
+            for s in range(r):
+                row = np.array([b.embed(s) for b in basis])
+                want.append(np.real(np.outer(row.conj(), row)) * t[s] ** 2)
+            close(lat.forms, np.stack(want))
+
+
 def test_codifferent_covolume_closed_form(all_fields):
     for nf in all_fields.values():
         expected = math.log(abs(nf.discriminant)) - 2 * nf.r2 * math.log(2)

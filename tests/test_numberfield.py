@@ -318,6 +318,12 @@ def test_zero_rule():
         build_field([49, 1, 1], prec_bits=4)
 
 
+@pytest.mark.parametrize("bits", [0, -1])
+def test_prec_bits_below_one_rejected(bits):
+    with pytest.raises(FieldError, match=r"prec_bits >= 1"):
+        build_field([1, 0, 1], prec_bits=bits)
+
+
 def test_root_certificates(monkeypatch):
     # two roots on one point fail the separation check, a point off the
     # roots fails the residual check, and coincident seeds stop the refinement

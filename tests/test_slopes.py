@@ -28,12 +28,14 @@ def test_line_degree_gaussian(field_qi):
 
 
 def test_line_degree_errors(field_qi):
-    with pytest.raises(BundleError):
-        line_degree(field_qi, [1.0, -1.0])
-    with pytest.raises(BundleError):
-        line_degree(field_qi, [1.0])
-    with pytest.raises(BundleError):
-        line_degree(field_qi, [1.0, 2.0])  # conjugation-variant
+    # line_degree and diagonal_bundle share one validator
+    cases = [([1.0, -1.0], "positive"), ([1.0], "one scale per embedding"),
+             ([1.0, 2.0], "conjugation-invariant")]
+    for scales, message in cases:
+        with pytest.raises(BundleError, match=message):
+            line_degree(field_qi, scales)
+        with pytest.raises(BundleError, match=message):
+            diagonal_bundle(field_qi, [[1.0, 1.0], scales])
 
 
 def test_diagonal_slopes_trivial(field_q):
