@@ -3,19 +3,20 @@
 A bundle is a free rank-N module over the ring of integers of F together
 with one hermitian positive-definite Gram H_s per complex embedding s, the
 family being invariant under complex conjugation; ``dual_bundle`` gives
-E* the dual metric, with Grams conj(H_s^-1).  ``NormedLattice`` is the
-lattice type of every lattice the minima engine runs on, and
-``assemble_forms`` builds their forms from such a family over a Z-basis
-(b_i) of one module slot: with A_s the N x (N*r) matrix holding
-sigma_s(b_i) in row j, columns j*r + i, the form at s is
-Re(A_s^H H_s A_s), and Q(x) = sum_s |x|_s^2 is their sum.  Restriction of
-scalars uses the integral basis; ``hermlat.duality`` uses the codifferent
-basis for the trace dual and a one-slot Gram [[t_s^2]] for ideal lattices.
+E* the dual metric, with Grams conj(H_s^-1), and ``HermitianBundle.dual``
+keeps it per bundle.  ``NormedLattice`` is the lattice type of every
+lattice the minima engine runs on, and ``assemble_forms`` builds their
+forms from such a family over a Z-basis (b_i) of one module slot: with
+A_s the N x (N*r) matrix holding sigma_s(b_i) in row j, columns j*r + i,
+the form at s is Re(A_s^H H_s A_s), and Q(x) = sum_s |x|_s^2 is their
+sum.  Restriction of scalars uses the integral basis; ``hermlat.duality``
+uses the codifferent basis for the trace dual and a one-slot Gram
+[[t_s^2]] for ideal lattices.
 
-Everything is immutable after construction, apart from a lattice's memo of
-deterministic derived data; concurrent reads are safe.  The memo's balls
-(``hermlat.minima``) are normed in stacked chunks as they are read, under
-a lock of their own.
+Everything is immutable after construction, apart from a bundle's kept
+dual and a lattice's memo of deterministic derived data; concurrent reads
+are safe.  The memo's balls (``hermlat.minima``) are normed in stacked
+chunks as they are read, under a lock of their own.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ class HermitianBundle:
     nf: NumberField
     rank: int
     grams: tuple[np.ndarray, ...]  # indexed by embedding, each N x N complex
+
+    @functools.cached_property
+    def dual(self) -> "HermitianBundle":
+        """``dual_bundle(self)``, built on first use and kept: the dual bundle
+        and the trace dual (``hermlat.duality.trace_dual``) of one bundle
+        share its Grams."""
+        return dual_bundle(self)
 
     def scaled(self, factor: float) -> "HermitianBundle":
         """Bundle with every Gram multiplied by factor (norms scale by sqrt)."""
@@ -84,6 +92,37 @@ def make_bundle(nf: NumberField, rank: int, grams: Sequence[np.ndarray]) -> Herm
                 f"Gram family violates conjugation invariance between embeddings {s} and {sbar}"
             )
     return HermitianBundle(nf, rank, tuple(m.copy() for m in mats))
+
+
+def random_bundle(nf: NumberField, rank: int, rng: np.random.Generator,
+                  cond_max: float = 1e3, floor: float = 1e-3) -> HermitianBundle:
+    """Random conjugation-invariant bundle with condition number <= cond_max.
+
+    Gram at a representative embedding is A*A^H-style Gaussian plus a small
+    multiple of the identity; the conjugate embedding gets the entrywise
+    conjugate.  Draws are repeated (deterministically) until the condition
+    bound holds.
+    """
+    r = nf.degree
+    while True:
+        grams: list[np.ndarray | None] = [None] * r
+        for s in range(r):
+            if grams[s] is not None:
+                continue
+            sbar = nf.conj_index[s]
+            if sbar == s:
+                a = rng.standard_normal((rank, rank))
+                h = a.T @ a + floor * np.eye(rank)
+                grams[s] = h.astype(complex)
+            else:
+                a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+                h = a.conj().T @ a + floor * np.eye(rank)
+                h = (h + h.conj().T) / 2
+                grams[s] = h
+                grams[sbar] = h.conj()
+        conds = [np.linalg.cond(g) for g in grams]
+        if max(conds) <= cond_max:
+            return make_bundle(nf, rank, grams)
 
 
 def dual_bundle(bundle: HermitianBundle) -> HermitianBundle:

@@ -14,10 +14,11 @@ j-th module coordinate of x, has at embedding s the component row
 (sigma_s(t_j))_j, whose dual-metric norm^2 row H_s^-1 row^H is real and so
 equals its conjugate: the norm^2 of the column row^T under conj(H_s^-1),
 the Gram of ``dual_bundle``.  So ``trace_dual`` assembles the dual
-bundle's Grams over the codifferent basis (``bundles.assemble_forms``),
-with ``DualVector`` witnesses.  Nothing is approximated: biorthogonality
-makes the codifferent's embeddings the inverse of the stack of the
-integral basis embeddings, the change of coordinates to the dual.
+bundle's Grams (``HermitianBundle.dual``, built once per bundle) over the
+codifferent basis (``bundles.assemble_forms``), with ``DualVector``
+witnesses.  Nothing is approximated: biorthogonality makes the
+codifferent's embeddings the inverse of the stack of the integral basis
+embeddings, the change of coordinates to the dual.
 
 Two norm families coexist on E^v:
 
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .bundles import (
-    HermitianBundle, NormedLattice, assemble_forms, dual_bundle, module_coords, stack_forms
+    HermitianBundle, NormedLattice, assemble_forms, module_coords, stack_forms
 )
 from .minima import DEFAULT_BUDGET, TOL, BudgetExhausted, check_budget, successive_minima
 from .numberfield import FieldElement, NumberField
@@ -318,7 +319,7 @@ def trace_dual(bundle: HermitianBundle) -> TraceDualLattice:
     codifferent basis (see the module docstring)."""
     nf = bundle.nf
     basis = trace_module(nf).codifferent_basis
-    stacked, gram = assemble_forms(nf, dual_bundle(bundle).grams, basis, "trace-dual lattice")
+    stacked, gram = assemble_forms(nf, bundle.dual.grams, basis, "trace-dual lattice")
     return TraceDualLattice(
         nf, bundle.rank, basis, stacked, gram, functools.partial(DualVector, bundle), source=bundle
     )

@@ -352,17 +352,15 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
     b = [g[0][0]] + [0.0] * (n - 1)  # squared Gram-Schmidt lengths
     k, k_max, swaps = 1, 0, 0
 
-    def size_reduce(k, l):
-        # basis vector k -= round(mu_kl) * basis vector l
-        q = round(mu[k][l])
-        if q:
-            t[k] = [x - q * y for x, y in zip(t[k], t[l])]
-            for row in g[k_max + 1 :]:
-                row[k] -= q * row[l]
-            mk, ml = mu[k], mu[l]
-            mk[l] -= q
-            for i in range(l):
-                mk[i] -= q * ml[i]
+    def size_reduce(k, l, q):
+        # basis vector k -= q * basis vector l, q = round(mu_kl) != 0
+        t[k] = [x - q * y for x, y in zip(t[k], t[l])]
+        for row in g[k_max + 1 :]:
+            row[k] -= q * row[l]
+        mk, ml = mu[k], mu[l]
+        mk[l] -= q
+        for i in range(l):
+            mk[i] -= q * ml[i]
 
     while k < n and swaps < _LLL_MAX_SWAPS:
         if k > k_max:
@@ -378,7 +376,9 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
             for j in range(k):
                 s += mk[j] * mk[j] * b[j]
             b[k] = gk[k] - s
-        size_reduce(k, k - 1)
+        q = round(mu[k][k - 1])
+        if q:
+            size_reduce(k, k - 1, q)
         m = mu[k][k - 1]
         if b[k] < (LLL_DELTA - m * m) * b[k - 1]:
             # swap basis vectors k-1 and k; rows k-1 and k of mu trade
@@ -400,7 +400,9 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                q = round(mu[k][l])
+                if q:
+                    size_reduce(k, l, q)
             k += 1
     return np.array(t, dtype=np.int64).T
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bundles import HermitianBundle, dual_bundle, make_bundle, restrict_scalars
+from .bundles import HermitianBundle, random_bundle, restrict_scalars
 from .duality import (
     minkowski_codifferent_bound,
     minkowski_codifferent_vector,
@@ -131,7 +131,7 @@ class BundleChecks:
 
     @cached_property
     def star(self):
-        return replace(restrict_scalars(dual_bundle(self.bundle)), memo=self._memo)
+        return replace(restrict_scalars(self.bundle.dual), memo=self._memo)
 
     @cached_property
     def tdual(self):
@@ -400,37 +400,6 @@ def check_all(bundle: HermitianBundle, budget: int = DEFAULT_BUDGET) -> list[The
     ctx = BundleChecks(bundle, budget, STATEMENTS)
     n, r = bundle.rank, bundle.nf.degree
     return [check(ctx, k) for check, indices, _ in STATEMENTS.values() for k in indices(n, r)]
-
-
-def random_bundle(nf: NumberField, rank: int, rng: np.random.Generator,
-                  cond_max: float = 1e3, floor: float = 1e-3) -> HermitianBundle:
-    """Random conjugation-invariant bundle with condition number <= cond_max.
-
-    Gram at a representative embedding is A*A^H-style Gaussian plus a small
-    multiple of the identity; the conjugate embedding gets the entrywise
-    conjugate.  Draws are repeated (deterministically) until the condition
-    bound holds.
-    """
-    r = nf.degree
-    while True:
-        grams: list[np.ndarray | None] = [None] * r
-        for s in range(r):
-            if grams[s] is not None:
-                continue
-            sbar = nf.conj_index[s]
-            if sbar == s:
-                a = rng.standard_normal((rank, rank))
-                h = a.T @ a + floor * np.eye(rank)
-                grams[s] = h.astype(complex)
-            else:
-                a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
-                h = a.conj().T @ a + floor * np.eye(rank)
-                h = (h + h.conj().T) / 2
-                grams[s] = h
-                grams[sbar] = h.conj()
-        conds = [np.linalg.cond(g) for g in grams]
-        if max(conds) <= cond_max:
-            return make_bundle(nf, rank, grams)
 
 
 def fuzz(

@@ -17,7 +17,11 @@ from hermlat import (
     load_field,
     make_bundle,
     random_bundle,
+    restrict_scalars,
+    trace_dual,
 )
+from hermlat import bundles
+from hermlat.bundles import dual_bundle
 from hermlat.reports import render_report
 from hermlat.transference import DECLARED, READS
 
@@ -204,6 +208,24 @@ def test_check_all_counts(field_qi):
     # sandwich: 2, polar: 4, index: 2, chain: 2
     assert len(reports) == 10
     assert all(r.verdict == "pass" for r in reports)
+
+
+def test_check_all_inverts_the_grams_once(field_zeta5, monkeypatch):
+    # the dual bundle's lattice (mu_star) and the trace dual share one dual bundle
+    calls = []
+
+    def counted(bundle):
+        calls.append(bundle)
+        return dual_bundle(bundle)
+
+    monkeypatch.setattr(bundles, "dual_bundle", counted)
+    bundle = random_bundle(field_zeta5, 2, np.random.default_rng(3))
+    ctx = BundleChecks(bundle)
+    assert ctx.tdual.source is bundle and ctx.star is not None
+    assert calls == [bundle]
+    star = restrict_scalars(dual_bundle(bundle))
+    assert np.array_equal(ctx.star.forms, star.forms)
+    assert np.array_equal(ctx.tdual.forms, trace_dual(bundle).forms)
 
 
 def test_fuzz_deterministic(field_q, field_qi):
