@@ -65,7 +65,7 @@ class HermitianBundle:
 
 
 def make_bundle(nf: NumberField, rank: int, grams: Sequence[np.ndarray]) -> HermitianBundle:
-    """Validate and build a bundle: hermitian, positive definite, conjugation-invariant."""
+    """Validate and build a bundle: finite, hermitian, positive definite, conjugation-invariant."""
     if rank < 1:
         raise BundleError("rank must be at least 1")
     if len(grams) != nf.degree:
@@ -75,6 +75,8 @@ def make_bundle(nf: NumberField, rank: int, grams: Sequence[np.ndarray]) -> Herm
         h = np.asarray(g, dtype=complex)
         if h.shape != (rank, rank):
             raise BundleError(f"Gram {s} has shape {h.shape}, expected {(rank, rank)}")
+        if not np.isfinite(h).all():
+            raise BundleError(f"Gram {s} has an entry that is not finite")
         scale = max(1.0, float(np.abs(h).max()))
         if np.abs(h - h.conj().T).max() > HERMITIAN_TOL * scale:
             raise BundleError(f"Gram {s} is not hermitian")

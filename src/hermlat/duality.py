@@ -121,34 +121,27 @@ def codifferent_lattice(nf: NumberField) -> NormedLattice:
 
 
 def different_lattice(nf: NumberField) -> list[FieldElement]:
-    """Z-basis of the inverse of the codifferent, {y in F : y * codiff <= O_F}.
+    """Z-basis of the different, the inverse of the codifferent,
+    {y in F : y * codiff <= O_F}.
 
-    Solved exactly: stacking the multiplication-by-c_j matrices in integral
-    coordinates gives an integer system whose solution lattice is computed
-    by Z-diagonalization.
+    y = sum_i t_i b_i lies in it iff y * c_j is integral for every
+    codifferent basis element c_j, that is iff M_j t is in Z^r, where M_j
+    is multiplication by c_j in integral coordinates.  So the t form the
+    dual of the Z-span of the rows of all M_j.  With B that span's echelon
+    basis (``exactlinalg.row_basis`` of the rows times their common
+    denominator, divided back), the condition reads B t in Z^r, and the
+    columns of the exact inverse of B are a basis.
     """
     tm = trace_module(nf)
     r = nf.degree
-    if r == 1:
-        return [nf.one()]
-    # columns of m_j: integral coords of b_i * c_j
-    stacked: list[list[Fraction]] = [[Fraction(0)] * r for _ in range(r * r)]
-    for j, c in enumerate(tm.codifferent_basis):
-        for i, b in enumerate(nf.integral_basis):
-            coords = nf.to_integral_coords(b * c)
-            for row in range(r):
-                stacked[j * r + row][i] = coords[row]
-    denom = 1
-    for row in stacked:
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    int_rows = [[int(v * denom) for v in row] for row in stacked]
-    basis_cols = xl.integral_solution_lattice(int_rows, denom)
-    out = []
-    for i in range(r):
-        coords = [basis_cols[row][i] for row in range(r)]
-        out.append(nf.from_integral_coords(coords))
-    return out
+    rows = []
+    for c in tm.codifferent_basis:
+        cols = [nf.to_integral_coords(b * c) for b in nf.integral_basis]
+        rows += [[col[k] for col in cols] for k in range(r)]
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    basis = xl.row_basis([[v * denom for v in row] for row in rows])
+    inv = xl.inverse([[Fraction(v, denom) for v in row] for row in basis])
+    return [nf.from_integral_coords([row[i] for row in inv]) for i in range(r)]
 
 
 def dual_trace_module_lattice(nf: NumberField) -> NormedLattice:

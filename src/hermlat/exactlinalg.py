@@ -92,89 +92,31 @@ def is_integral(a: Matrix) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 
 
-def z_diagonalize(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix over Z: returns (u, d, v) with u*a*v = d.
+def row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Echelon Z-basis of the Z-span of integer rows of full column rank n.
 
-    u and v are unimodular and d is diagonal (the divisibility chain of the
-    Smith form is not enforced; it is not needed by the callers here).
+    Returns n rows, row i zero before column i and positive in it.  For
+    each column, Euclid's algorithm on the rows not yet used leaves one
+    pivot row: the row with the smallest nonzero entry there is subtracted,
+    times the floor quotient, from the others until only it is nonzero.
+    Every step is unimodular, so the span never changes.  Raises ValueError
+    when a column has no nonzero entry left, that is when the rows do not
+    have full column rank.
     """
-    m = [list(map(int, row)) for row in a]
-    rows, cols = len(m), len(m[0])
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(rows, cols):
-        pos = min(
-            ((i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j] != 0),
-            key=lambda ij: abs(m[ij[0]][ij[1]]),
-            default=None,
-        )
-        if pos is None:
-            break
-        if pos[0] != t:
-            swap_rows(t, pos[0])
-        if pos[1] != t:
-            swap_cols(t, pos[1])
+    m = [[int(x) for x in row] for row in rows]
+    n = len(m[0])
+    for col in range(n):
         while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
-                    if m[i][t]:  # Euclidean remainder became the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
+            live = [i for i in range(col, len(m)) if m[i][col]]
+            if not live:
+                raise ValueError("rows do not have full column rank")
+            p = min(live, key=lambda i: abs(m[i][col]))
+            m[col], m[p] = m[p], m[col]
+            if len(live) == 1:
                 break
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, m, v
-
-
-def integral_solution_lattice(p: Sequence[Sequence[int]], q: int) -> Matrix:
-    """Basis of the lattice {t in Q^n : p @ t in q * Z^m}.
-
-    Requires p to have full column rank n.  Returns a rational matrix whose
-    columns form a Z-basis of the solution lattice.
-    """
-    n = len(p[0])
-    _, d, v = z_diagonalize(p)
-    diag = [d[i][i] if i < len(d) else 0 for i in range(n)]
-    if any(x == 0 for x in diag):
-        raise ValueError("coefficient matrix does not have full column rank")
-    # p t in q Z^m  <=>  d s in q Z^m with s = v^{-1} t  <=>  s_i in (q/d_i) Z
-    basis_cols = []
-    for i in range(n):
-        scale = Fraction(q, diag[i])
-        basis_cols.append([Fraction(v[r][i]) * scale for r in range(n)])
-    return transpose(basis_cols)  # columns are the basis vectors
+            for i in range(col + 1, len(m)):
+                q = m[i][col] // m[col][col]
+                m[i] = [x - q * y for x, y in zip(m[i], m[col])]
+        if m[col][col] < 0:
+            m[col] = [-x for x in m[col]]
+    return m[:n]

@@ -29,7 +29,8 @@ class CurveInvariants:
     g: genus, at least 2.  r: field degree.  log_disc: log|disc|, >= 0.
     omega_sq: arithmetic self-intersection of the metrized dualizing sheaf
     (nonnegative by a known theorem; enforced on input).  residual_c: the
-    unspecified constant of the explicit bounds, >= 0, default 0.
+    unspecified constant of the explicit bounds, >= 0, default 0.  The three
+    reals must be finite.
     """
 
     g: int
@@ -39,6 +40,9 @@ class CurveInvariants:
     residual_c: float = 0.0
 
     def __post_init__(self):
+        for name in ("log_disc", "omega_sq", "residual_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.g < 2:
             raise ValueError("genus must be at least 2")
         if self.r < 1:

@@ -90,7 +90,7 @@ import math
 import threading
 from dataclasses import dataclass
 from operator import mul
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -123,6 +123,12 @@ _SCALAR_NODES = 8
 
 Mode = Literal["f-rank", "q-rank"]
 Norm = Literal["sup", "sum"]
+
+
+def _check_choice(value, choices: type, what: str) -> None:
+    """ValueError unless ``value`` is one of the ``Literal`` type's values."""
+    if value not in get_args(choices):
+        raise ValueError(f"{what} must be one of {get_args(choices)}, got {value!r}")
 
 
 class BudgetExhausted(RuntimeError):
@@ -460,8 +466,9 @@ def enumerate_below(
 
     Sorted by (aggregated norm, lexicographic z-coordinates); deterministic.
     """
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+    _check_choice(norm, Norm, "norm")
+    if not bound > 0:
+        raise ValueError(f"bound must be positive, got {bound}")
     ball = _ball(lattice, norm, bound, budget)
     return [lattice.to_vector(z) for _, z in ball.read(lattice, bound)]
 
@@ -641,11 +648,15 @@ def exact_rank(vectors: Sequence[BundleVector], mode: Mode) -> int:
     Q-rank is taken on the integer coordinates.  F-rank is taken on the
     power-basis coordinates of the module coordinates ``f_coords``, each
     vector's denominators cleared, with theta acting by the companion
-    matrix of the defining polynomial.
+    matrix of the defining polynomial.  All vectors must come from one
+    lattice: one bundle, and one vector type, since a primal and a
+    trace-dual vector of one bundle have coordinates in different bases.
     """
+    _check_choice(mode, Mode, "mode")
     if not vectors:
         return 0
-    if any(v.bundle is not vectors[0].bundle for v in vectors[1:]):
+    first = vectors[0]
+    if any(v.bundle is not first.bundle or type(v) is not type(first) for v in vectors[1:]):
         raise ValueError("vectors must come from one lattice")
     if mode == "q-rank":
         tracker = _RankTracker()
@@ -679,6 +690,8 @@ def successive_minima(
     nodes.  On budget exhaustion an empty, uncertified profile reports the
     budget as its nodes.
     """
+    _check_choice(mode, Mode, "mode")
+    _check_choice(norm, Norm, "norm")
     max_k = lattice.max_f_rank if mode == "f-rank" else lattice.z_rank
     if not 1 <= count <= max_k:
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")

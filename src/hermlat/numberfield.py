@@ -13,8 +13,7 @@ set by ``prec_bits`` and certified there (``_compute_embeddings``, which
 also gives the rule that sets a real part below the certified bound to
 exactly 0).  The refined roots are kept on the field as Decimals, and the
 lattice code reads them rounded to machine complex numbers, which do not
-change with ``prec_bits``.  ``embed_mp`` converts them to mpmath on demand;
-nothing else imports mpmath.
+change with ``prec_bits``.
 
 All constructed objects are immutable after ``build_field`` returns and are
 safe for unrestricted concurrent reads.
@@ -112,20 +111,6 @@ class FieldElement:
         acc = 0j
         for c in reversed(self.coords):
             acc = acc * root + float(c)
-        return acc
-
-    def embed_mp(self, idx: int) -> "mpmath.mpc":
-        """Value under the idx-th embedding as an mpmath number, computed at
-        the field's working digits from its refined roots.  mpmath is
-        imported here, and only here."""
-        import mpmath
-
-        re, im = self.nf._embeddings_hp[idx]
-        with mpmath.workdps(_working_digits(self.nf.prec_bits)):
-            root = mpmath.mpc(str(re), str(im))
-            acc = mpmath.mpf(0)
-            for c in reversed(self.coords):
-                acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
         return acc
 
     def _check(self, other):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hermlat import (
     BundleError,
     BundleVector,
+    diagonal_bundle,
     dual_bundle,
     make_bundle,
     restrict_scalars,
@@ -74,6 +75,26 @@ def test_non_hermitian_rejected(field_q):
 def test_non_positive_definite_rejected(field_q):
     with pytest.raises(BundleError):
         make_bundle(field_q, 2, [np.diag([1.0, -1.0])])
+
+
+@pytest.mark.parametrize("bad", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, math.inf]],
+    [[1.0, math.nan], [math.nan, 1.0]],
+    [[1.0, complex(0.0, -math.inf)], [complex(0.0, math.inf), 1.0]],
+], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "inf-imaginary"])
+def test_non_finite_gram_rejected(field_q, field_qi, bad):
+    with pytest.raises(BundleError, match="Gram 0 has an entry that is not finite"):
+        make_bundle(field_q, 2, [np.array(bad)])
+    h = np.array(bad, dtype=complex)
+    with pytest.raises(BundleError, match="Gram 1 has an entry that is not finite"):
+        make_bundle(field_qi, 2, [np.eye(2), h])
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_non_finite_diagonal_scale_rejected(field_q, scale):
+    with pytest.raises(BundleError, match="not finite"):
+        diagonal_bundle(field_q, [[1.0], [scale]])
 
 
 def test_conjugation_violation_rejected(field_qi):

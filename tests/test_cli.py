@@ -197,6 +197,32 @@ def test_invariants_disc_must_be_a_nonzero_integer(tmp_path, disc):
     assert "disc must be a nonzero integer" in err
 
 
+@pytest.mark.parametrize("key", ["omega_sq", "log_disc", "residual_C"])
+def test_non_finite_invariants_fixture_rejected(tmp_path, key):
+    f = tmp_path / "invariants.json"
+    f.write_text(json.dumps({"g": 2, "omega_sq": 1.0, key: math.nan}))
+    with pytest.raises(FixtureError, match="must be finite"):
+        load_invariants(f)
+    code, out, err = run_cli(["bounds", "--fixture", str(f), "--d", "5"])
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("entry", [[math.nan, 0], [math.inf, 0], [1, math.nan]])
+def test_non_finite_gram_fixture_rejected(tmp_path, entry):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps({
+        "field": {"poly": [0, 1]},
+        "rank": 2,
+        "grams": {"0": [[[1, 0], entry], [entry, [1, 0]]]},
+    }))
+    code, out, err = run_cli(["check", "--fixture", str(f), "--statement", "all"])
+    assert code == 1
+    assert out == ""
+    assert "Gram 0 has an entry that is not finite" in err
+
+
 def test_invariants_disc_gives_log_disc(tmp_path):
     f = tmp_path / "invariants.json"
     f.write_text(json.dumps({"g": 2, "omega_sq": 1.0, "disc": -12}))

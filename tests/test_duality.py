@@ -1,8 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermlat import (
     BudgetExhausted,
@@ -20,6 +25,8 @@ from hermlat import (
     transfer_vector,
     unit_ball_volume,
 )
+from hermlat.exactlinalg import row_basis
+
 from conftest import FIXDIR, identity_bundle
 
 
@@ -198,21 +205,137 @@ def test_minkowski_examples(field_qi, field_sqrt2):
     assert lg2 <= 0.5 * math.log(8) + 1e-9
 
 
+# maximal orders whose integral basis is not the power basis of f:
+# (poly, constant term first; basis rows; discriminant)
+SUPPLIED_BASIS_ORDERS = {
+    "sqrt5": ([-5, 0, 1], [[1, 0], ["1/2", "1/2"]], 5),
+    "sqrt_minus7": ([7, 0, 1], [[1, 0], ["1/2", "1/2"]], -7),
+    # Dedekind's cubic field, whose ring of integers has no power basis
+    "dedekind": ([-8, -2, -1, 1], [[1, 0, 0], [0, 1, 0], [0, "1/2", "1/2"]], -503),
+}
+
+# with the shipped fields and the supplied-basis orders, the 20 fields on
+# which the transfer vector's log-norm is checked at 60 digits
+CORPUS_POLYS = {
+    "zeta7": [1, 1, 1, 1, 1, 1, 1],
+    "zeta8": [1, 0, 0, 0, 1],
+    "zeta9": [1, 0, 0, 1, 0, 0, 1],
+    "zeta12": [1, 0, -1, 0, 1],
+    "sqrt3": [-3, 0, 1],
+    "sqrt_minus5": [5, 0, 1],
+    "x^3 + x - 1": [-1, 1, 0, 1],
+    "x^3 - x^2 - 2x + 1": [1, -2, -1, 1],
+    "x^3 - 2": [-2, 0, 0, 1],
+    "x^4 - 2": [-2, 0, 0, 0, 1],
+    "x^3 - x^2 + x + 1": [1, 1, -1, 1],
+}
+
+
+def _supplied_basis_order(name):
+    poly, basis, disc = SUPPLIED_BASIS_ORDERS[name]
+    nf = build_field(poly, integral_basis=basis)
+    assert nf.discriminant == disc
+    return nf
+
+
+def _same_lattice(nf, xs, ys):
+    """Whether the field elements xs and ys span one Z-lattice, exactly."""
+    from hermlat.exactlinalg import inverse, is_integral, mat_mul, transpose
+
+    a = transpose([nf.to_integral_coords(x) for x in xs])
+    b = transpose([nf.to_integral_coords(y) for y in ys])
+    return is_integral(mat_mul(inverse(a), b)) and is_integral(mat_mul(inverse(b), a))
+
+
 def test_different_lattice_index(all_fields):
-    # the different of a monogenic order is generated by f'(theta); its
-    # index in the order equals |disc|
+    # the index of the different in the order equals |disc|
     from hermlat.exactlinalg import det
 
-    for nf in all_fields.values():
+    fields = {**all_fields, **{name: _supplied_basis_order(name) for name in SUPPLIED_BASIS_ORDERS}}
+    for name, nf in fields.items():
         basis = different_lattice(nf)
         m = [[x for x in nf.to_integral_coords(y)] for y in basis]
-        assert abs(det(m)) == abs(nf.discriminant)
+        assert abs(det(m)) == abs(nf.discriminant), name
         # containment: every basis element of the different multiplied by
         # every codifferent basis element is integral
         tm = trace_module(nf)
         for y in basis:
             for c in tm.codifferent_basis:
-                assert all(t.denominator == 1 for t in nf.to_integral_coords(y * c))
+                assert all(t.denominator == 1 for t in nf.to_integral_coords(y * c)), name
+    # Q(sqrt 5) and Q(sqrt -7): the different is theta * O_F, not the
+    # f'(theta) * O_F of the power-basis order
+    for name in ("sqrt5", "sqrt_minus7"):
+        nf = fields[name]
+        theta_ideal = [nf.theta() * b for b in nf.integral_basis]
+        assert _same_lattice(nf, theta_ideal, different_lattice(nf)), name
+
+
+@st.composite
+def integer_rows(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+@given(integer_rows())
+@settings(max_examples=200, deadline=None)
+def test_row_basis_spans_the_rows(rows):
+    from hermlat.exactlinalg import inverse, is_integral, mat, mat_mul
+
+    n = len(rows[0])
+    # the index of the rows' span in Z^n, independently: the gcd of the
+    # n x n minors, 0 when the rows do not have full column rank
+    index = math.gcd(*(
+        int(sympy.Matrix([rows[i] for i in pick]).det())
+        for pick in itertools.combinations(range(len(rows)), n)
+    ))
+    if index == 0:
+        with pytest.raises(ValueError, match="full column rank"):
+            row_basis(rows)
+        return
+    basis = row_basis(rows)
+    assert len(basis) == n
+    assert all(basis[i][j] == 0 for i in range(n) for j in range(i))
+    assert all(basis[i][i] > 0 for i in range(n))
+    assert math.prod(basis[i][i] for i in range(n)) == index
+    # every input row is an integer combination of the basis rows
+    assert is_integral(mat_mul(mat(rows), inverse(mat(basis))))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4], [-3, -6]],
+    [[0, 1], [0, 5]],
+    [[1, 0, 0], [0, 1, 0]],
+    [[0, 0, 0]],
+])
+def test_row_basis_rejects_rank_deficient_rows(rows):
+    with pytest.raises(ValueError, match="full column rank"):
+        row_basis(rows)
+
+
+def _log_transfer_norm_60_digits(nf, y):
+    """log max_s |sigma_s(y)| / w_s at 60 digits, w_s = 1 at real and 2 at
+    complex embeddings, from mpmath's roots of f."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(y.coords)]
+        norms = []
+        for z in mpmath.polyroots(list(reversed(nf.defining_poly)), maxsteps=400, extraprec=600):
+            weight = 1 if abs(z.imag) < mpmath.mpf("1e-40") else 2
+            norms.append(abs(mpmath.polyval(coeffs, z)) / weight)
+        return mpmath.log(max(norms))
+
+
+def test_transfer_vector_log_norm_accuracy(all_fields):
+    fields = {
+        **all_fields,
+        **{name: build_field(poly) for name, poly in CORPUS_POLYS.items()},
+        **{name: _supplied_basis_order(name) for name in SUPPLIED_BASIS_ORDERS},
+    }
+    assert len(fields) == 20
+    for name, nf in fields.items():
+        y, log_norm = transfer_vector(nf)
+        assert abs(log_norm - _log_transfer_norm_60_digits(nf, y)) <= 2e-13, name
 
 
 def test_different_is_fprime_ideal(field_qi, field_sqrt2):

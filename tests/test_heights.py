@@ -202,6 +202,13 @@ def test_monotone_in_omega_sq(w):
         assert u1 >= u0
 
 
+@pytest.mark.parametrize("name", ["log_disc", "omega_sq", "residual_c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_invariants_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CurveInvariants(g=2, **{"omega_sq": 1.0, name: value})
+
+
 def test_invalid_invariants():
     with pytest.raises(ValueError):
         CurveInvariants(g=1, omega_sq=1.0)

@@ -789,6 +789,44 @@ def test_k_out_of_range(field_q):
         successive_minima(lat, 0, "f-rank", "sup")
 
 
+@pytest.mark.parametrize("mode,norm,match", [
+    ("F-rank", "sup", "mode must be one of"),
+    ("f-rank", "max", "norm must be one of"),
+], ids=["mode", "norm"])
+def test_unknown_mode_or_norm_rejected(field_qi, mode, norm, match):
+    lat = restrict_scalars(identity_bundle(field_qi, rank=2))
+    with pytest.raises(ValueError, match=match):
+        successive_minima(lat, 4, mode, norm)
+
+
+@pytest.mark.parametrize("norm,bound,match", [
+    ("max", 1.0, "norm must be one of"),
+    ("sup", float("nan"), "bound must be positive"),
+    ("sup", 0.0, "bound must be positive"),
+    ("sum", -1.0, "bound must be positive"),
+], ids=["norm", "nan", "zero", "negative"])
+def test_enumerate_below_rejects_bad_arguments(field_qi, norm, bound, match):
+    lat = restrict_scalars(identity_bundle(field_qi, rank=2))
+    with pytest.raises(ValueError, match=match):
+        enumerate_below(lat, norm, bound)
+
+
+def test_exact_rank_rejects_primal_and_dual_vectors_together(field_qi):
+    bundle = identity_bundle(field_qi)
+    primal = BundleVector(bundle, (1, 0))
+    dual = trace_dual(bundle).to_vector((0, 1))
+    assert exact_rank([dual, trace_dual(bundle).to_vector((1, 0))], "q-rank") == 2
+    for family in ([primal, dual], [dual, primal]):
+        with pytest.raises(ValueError, match="one lattice"):
+            exact_rank(family, "q-rank")
+
+
+def test_exact_rank_rejects_unknown_mode(field_qi):
+    bundle = identity_bundle(field_qi)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        exact_rank([BundleVector(bundle, (1, 0)), BundleVector(bundle, (0, 1))], "Q-rank")
+
+
 # -- enumeration kernel ---------------------------------------------------------
 
 

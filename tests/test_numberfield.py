@@ -295,17 +295,15 @@ def test_embeddings_match_high_precision_reference(bits):
 
 
 @pytest.mark.parametrize("bits", [64, 256])
-def test_embed_mp_matches_high_precision_reference(bits):
+def test_refined_roots_match_high_precision_reference(bits):
+    # the refined roots, kept on the field as Decimals, to 2^-bits
     for poly in RANDOM_POLYS[:8]:
         nf = build_field(poly, prec_bits=bits)
-        a = nf.element([Fraction((-1) ** k * (k + 1), k + 2) for k in range(nf.degree)])
-        # embed_mp sets its own precision: it is called at mpmath's default 53 bits
-        got = [a.embed_mp(s) for s in range(nf.degree)]
         with mpmath.workdps(100):
-            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(a.coords)]
-            for s, root in enumerate(_reference_roots(tuple(poly))):
-                want = mpmath.polyval(coeffs, root)
-                assert abs(got[s] - want) <= mpmath.mpf(2) ** -bits * (1 + abs(want)), (poly, s)
+            for s, want in enumerate(_reference_roots(tuple(poly))):
+                re, im = nf._embeddings_hp[s]
+                got = mpmath.mpc(str(re), str(im))
+                assert abs(got - want) <= mpmath.mpf(2) ** -bits * (1 + abs(want)), (poly, s)
 
 
 def test_zero_rule():

@@ -1,7 +1,9 @@
 """The package namespace: lazily loaded submodules and the export table."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +98,20 @@ def test_submodule_and_star_imports():
     exec("from hermlat import *", namespace)
     assert {name for names in EXPORTS.values() for name in names} <= set(namespace)
     assert hermlat.transference.random_bundle is hermlat.bundles.random_bundle
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # the third-party modules src/hermlat imports, read from its import
+    # statements, against pyproject's [project] dependencies
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in (SRC / "hermlat").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"hermlat"}
+    assert third_party == declared == {"numpy", "sympy"}
