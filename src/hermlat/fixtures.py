@@ -53,6 +53,22 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str):
         raise FixtureError(f"{what}: missing keys {sorted(missing)}")
 
 
+def _is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: a bool is not, nor is 2.0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float; FixtureError unless it is a JSON number."""
+    value = obj[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise FixtureError(f"invariants fixture: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise FixtureError(f"invariants fixture: {key} must be finite") from None
+
+
 def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
     _require_keys(obj, {"poly", "basis", "expected_disc"}, {"poly"}, "field fixture")
     poly = obj["poly"]
@@ -143,18 +159,21 @@ def load_invariants(path: str | Path) -> CurveInvariants:
     log_disc = 0.0
     if "disc" in obj:
         disc = obj["disc"]
-        if not isinstance(disc, int) or isinstance(disc, bool) or disc == 0:
+        if not _is_json_int(disc) or disc == 0:
             raise FixtureError(f"invariants fixture: disc must be a nonzero integer, got {disc!r}")
         log_disc = math.log(abs(disc))
     elif "log_disc" in obj:
-        log_disc = float(obj["log_disc"])
+        log_disc = _json_number(obj, "log_disc")
+    for key in ("g", "r"):
+        if key in obj and not _is_json_int(obj[key]):
+            raise FixtureError(f"invariants fixture: {key} must be an integer, got {obj[key]!r}")
     try:
         return CurveInvariants(
-            g=int(obj["g"]),
-            r=int(obj.get("r", 1)),
+            g=obj["g"],
+            r=obj.get("r", 1),
             log_disc=log_disc,
-            omega_sq=float(obj["omega_sq"]),
-            residual_c=float(obj.get("residual_C", 0.0)),
+            omega_sq=_json_number(obj, "omega_sq"),
+            residual_c=_json_number(obj, "residual_C") if "residual_C" in obj else 0.0,
         )
     except ValueError as e:
         raise FixtureError(f"invariants fixture: {e}") from None

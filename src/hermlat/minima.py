@@ -26,13 +26,18 @@ it
    term for term, so the vectors, their order and the node count are the
    same bits whichever path expands a frontier.  Numpy frontiers are cut
    into chunks of at most ``_FRONTIER_ROWS`` rows and expanded depth
-   first, so memory is bounded whatever the budget.  The
+   first, so memory is bounded whatever the budget.  A sum-norm search
+   over a lattice of two or more places whose ellipsoid is expected to
+   hold at least ``_PLACE_POINTS`` points (the Gaussian heuristic) also
+   carries, per place, the partial sums of that place's norm and cuts off
+   the partial vectors that can no longer reach the ball (see below).  The
    reduction and the searched balls are memoized in the lattice's memo,
    each entry keyed by the array it is derived from: T by the Euclidean
    Gram scaled to a fixed binary exponent (see ``_reduce``), T^T G T by
-   the Gram, and the balls by the forms, one per norm and budget, the
-   largest completed; any smaller radius of that norm and budget is
-   answered by a prefix of it (``mu``'s ball lies inside ``lambda``'s).
+   the Gram, the places and their factors by the forms, and the balls by
+   the forms, one per norm and budget, the largest completed; any smaller
+   radius of that norm and budget is answered by a prefix of it (``mu``'s
+   ball lies inside ``lambda``'s).
    These keys alone decide what lattices that share a memo dict share;
 4. maps the candidates back through T, puts their signs in the original
    coordinates (highest nonzero coordinate positive), norms them all in
@@ -68,19 +73,37 @@ the squared embedding norms |x|_s^2 over all r embeddings):
   The ellipsoid {Q <= b^2 / 2} therefore contains the sum ball of radius
   b when every embedding is paired (a totally complex field whose
   conjugate norms agree), and {Q <= b^2} does otherwise.
+* sum norm, place by place: in the reduced coordinates let R_p be upper
+  triangular with R_p^T R_p = T^T F_p T, F_p the form of place p (only
+  semidefinite, so R_p comes from an eigendecomposition and a QR
+  decomposition, not from Cholesky).  Once the coordinates level .. n-1
+  are fixed, l_p = sum_{i >= level} (R_p[i, i:] x[i:])^2 is a sum of some
+  of the squares that make up |x|_p^2 = |R_p x|^2, whatever the other
+  coordinates are, so sum_p m_p sqrt(l_p) <= sum_p m_p |x|_p, the sum norm
+  of every vector that completes the partial one.  A partial vector with
+  sum_p m_p sqrt(l_p) > b (1 + TOL) (1 + BATCH_MARGIN) thus has no
+  completion in the ball: it is counted as a node but gets no children,
+  and a leaf that fails the test is not a candidate.  Both expansion
+  paths update per-place centres and partial sums elementwise, as they
+  update the ellipsoid's, so the node count still does not depend on the
+  path.  A lattice of one place (Q, or an imaginary quadratic field with
+  paired forms) builds no factors: there m |x| <= b is the ellipsoid
+  itself.
 
-Both containments are exact inequalities between nonnegative reals, hence
-an enumeration that is complete in the ellipsoid is complete in the norm
-ball, which is what certification rests on.  Forms are paired only when
+These are exact inequalities between nonnegative reals, hence an
+enumeration that is complete in the ellipsoid, but for the partial
+vectors the place test cuts off, is complete in the norm ball, which is
+what certification rests on.  Forms are paired only when
 they are equal as arrays (``bundles.stack_forms`` makes the forms of
 conjugate embeddings equal), so a lattice whose conjugate norms differ
 keeps the looser ellipsoid.  The ellipsoid is enumerated at the radius
 bound * (1 + TOL) that the norm filter accepts.  T is unimodular whatever
 the rounding in its Gram-Schmidt data, so the reduced coordinates cover
 exactly the same lattice points; floating point only affects how well
-reduced T is.  The batch norm filter of step 4 and the order in which the
-ball is normed rest on one accuracy assumption: no batch norm exceeds the
-exact norm by a relative ``BATCH_MARGIN`` or more.
+reduced T is.  The place test, the batch norm filter of step 4 and the
+order in which the ball is normed rest on one accuracy assumption: no
+float sum of per-place norms, from the factors R_p or from the batch,
+exceeds its exact value by a relative ``BATCH_MARGIN`` or more.
 """
 
 from __future__ import annotations
@@ -113,13 +136,19 @@ LLL_DELTA = 0.99
 _LLL_MAX_SWAPS = 100_000
 # Most partial vectors one enumeration frontier holds.  The search keeps at
 # most one frontier per level, so they take at most n * (2n+1) * 8 *
-# _FRONTIER_ROWS bytes (2.5 MB at n = 12) whatever the budget; larger
-# frontiers do not speed it up.
+# _FRONTIER_ROWS bytes (2.5 MB at n = 12) whatever the budget, and
+# n * ((P+2)n + P + 1) * 8 * _FRONTIER_ROWS with P places to prune by
+# (5 MB at n = 12, P = 2); larger frontiers do not speed it up.
 _FRONTIER_ROWS = 1 << 10
 # Frontiers of at most this many children are expanded with Python floats,
 # about 1 us a child, instead of numpy's calls, about 20 us a frontier
 # however small it is.
 _SCALAR_NODES = 8
+# Sum-norm searches are pruned by place only when their ellipsoid is expected
+# to hold at least this many points: below it, building the place factors
+# (about 30 us) and testing them (about 10 us a numpy frontier) cost more
+# than the nodes and candidates the test saves.
+_PLACE_POINTS = 1000
 
 Mode = Literal["f-rank", "q-rank"]
 Norm = Literal["sup", "sum"]
@@ -160,7 +189,10 @@ def aggregate(norms: np.ndarray, norm: Norm) -> float | np.ndarray:
 
 
 def enumerate_ellipsoid(
-    gram: np.ndarray, radius_sq: float, budget: int
+    gram: np.ndarray,
+    radius_sq: float,
+    budget: int,
+    places: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, int]:
     """All nonzero integer x with x^T gram x <= radius_sq, up to sign.
 
@@ -168,6 +200,15 @@ def enumerate_ellipsoid(
     Returns (vectors, nodes), vectors an (m, n) int64 array in no
     particular order.  A node is one value tried for one coordinate.
     Raises BudgetExhausted when the node count exceeds the budget.
+
+    ``places``, when given, is the per-place test of a sum-norm search
+    (see the module docstring), a pair (factors, limit): ``factors[p]`` is
+    m_p R_p, for an upper-triangular R_p with R_p^T R_p the form of place p
+    in the coordinates of ``gram`` and m_p its number of embeddings (scaling
+    by m_p = 1 or 2 is exact, so sqrt(l_p) below is m_p sqrt(l_p) for R_p
+    bit for bit).  A partial vector whose fixed rows of the factors give
+    sum_p sqrt(l_p) above ``limit`` is counted as a node but has no
+    children, and a leaf that fails the test is not returned.
 
     The coordinates are fixed from the last down, a frontier of partial
     vectors at a time.  From the root, frontiers of at most
@@ -186,11 +227,13 @@ def enumerate_ellipsoid(
     if bound < 0:
         return np.zeros((0, n), dtype=np.int64), 0
 
+    kernel = _Kernel(r, float(bound), places)
     found: list[np.ndarray] = []
-    level, rows, nodes = _expand_small(r, float(bound), budget, found)
+    level, rows, nodes = _expand_small(kernel, budget, found)
     if level >= 0:
         with np.errstate(invalid="ignore"):  # sqrt of a negative room: no children
-            stack = [_Frontier(r, bound, level, np.array(rows), True)]
+            first = kernel.p + n * kernel.k  # x_0's column
+            stack = [_Frontier(kernel, level, np.array(rows), True)]
             nodes += stack[0].size
             while stack:
                 if nodes > budget:
@@ -200,44 +243,84 @@ def enumerate_ellipsoid(
                     stack.pop()
                     continue
                 zero_first = top.zero_first and top.done == 0
-                rows = top.expand(r, _FRONTIER_ROWS)
-                if top.level > 0:
-                    stack.append(_Frontier(r, bound, top.level - 1, rows, zero_first))
-                    nodes += stack[-1].size
-                else:
+                rows = top.expand(kernel, _FRONTIER_ROWS)
+                if top.level == 0:
                     rows = rows[int(zero_first) :]  # drop x = 0, row 0 when zero_first
-                    found.append(rows[rows[:, -1] <= bound, n : 2 * n].astype(np.int64))
+                    found.append(rows[rows[:, -1] <= bound, first : first + n].astype(np.int64))
+                elif len(rows):  # none when every child failed the place test
+                    stack.append(_Frontier(kernel, top.level - 1, rows, zero_first))
+                    nodes += stack[-1].size
     # the all-zero prefix always reaches level 0, so ``found`` is not empty
     return np.concatenate(found), nodes
 
 
-def _expand_small(r, bound, budget, found):
+class _Kernel:
+    """The factors one enumeration expands its frontiers with.
+
+    ``factors`` stacks the ellipsoid's Cholesky factor r (k = 0) and the
+    P place factors (k = p + 1), K = P + 1 in all; ``columns[l, j K + k]``
+    is ``factors[k, j, l]``.  A frontier row holds, in floats, the places'
+    partial sums l_p in column p, the centres sum_{i > level}
+    factors[k, j, i] x_i of the levels j <= level in column P + j K + k,
+    the fixed coordinates x_j in column P + K n + j and the partial sum of
+    |r x|^2 in the last column.  Without places P = 0, K = 1 and a row is
+    (centres, coordinates, partial sum).
+    """
+
+    __slots__ = ("n", "p", "k", "r", "bound", "columns", "limit")
+
+    def __init__(self, r, bound, places):
+        n = len(r)
+        self.n, self.r, self.bound = n, r, bound
+        if places is None:
+            self.p, self.k, self.columns, self.limit = 0, 1, r.T, math.inf
+        else:
+            factors, self.limit = places
+            factors = np.concatenate([r[None], factors])
+            self.k = len(factors)
+            self.p = self.k - 1
+            self.columns = factors.transpose(2, 1, 0).reshape(n, n * self.k)
+
+    def kept(self, lens):
+        """Which rows of partial sums l_p (one column per place) pass the
+        place test, their square roots summed place by place as
+        ``_expand_small`` sums them."""
+        roots = np.sqrt(lens)
+        total = roots[:, 0]
+        for p in range(1, self.p):
+            total = total + roots[:, p]
+        return total <= self.limit
+
+
+def _expand_small(kernel, budget, found):
     """Expand the frontiers from the root down while each has at most
     ``_SCALAR_NODES`` children; returns (level, rows, nodes).
 
-    A row is (centres, coordinates, partial sum): the centres of the
-    levels <= ``level``, the fixed coordinates above it and the partial
-    sum of |r x|^2, as in a ``_Frontier`` row; row 0 is the all-zero
-    prefix.  Each frontier's children are counted against the budget
-    before they are built, and the leaves of level 0 go to ``found``.  A
-    frontier with more children, or with an infinite or nan interval, is
-    returned unexpanded, as its level and its rows laid out for
-    ``_Frontier``; once level 0 is done the level is -1.  Every float is
-    computed by the expression ``_Frontier`` uses, term for term, so the
-    intervals, the nodes and the leaves are the same bits.
+    A row is (sums and centres, coordinates, partial sum): the places'
+    partial sums and the centres of the levels <= ``level``, the fixed
+    coordinates above it and the partial sum of |r x|^2, as in a
+    ``_Frontier`` row; row 0 is the all-zero prefix.  Each frontier's
+    children are counted against the budget before they are built; those
+    that fail the place test are dropped, and the leaves of level 0 go to
+    ``found``.  A frontier with more children, or with an infinite or nan
+    interval, is returned unexpanded, as its level and its rows laid out
+    for ``_Frontier``; once level 0 is done the level is -1.  Every float
+    is computed by the expression ``_Frontier`` uses, term for term, so
+    the intervals, the nodes and the leaves are the same bits.
     """
-    n = len(r)
-    columns = r.T.tolist()  # columns[l][j] = r[j, l]
-    rows, nodes = [([0.0] * n, (), 0.0)], 0
+    n, p, k, bound, limit = kernel.n, kernel.p, kernel.k, kernel.bound, kernel.limit
+    columns = kernel.columns.tolist()  # columns[l][j * k + i] = factors[i, j, l]
+    rows, nodes = [([0.0] * (p + n * k), (), 0.0)], 0
     for level in range(n - 1, -1, -1):
         col = columns[level]
-        r_ll = col[level]
+        at = level * k
+        r_ll = col[at]
         spans, size = [], 0
         for i, (centres, coords, partial) in enumerate(rows):
             room = bound - partial
             if not room >= 0:  # negative or nan room: no children
                 continue
-            c = -centres[level] / r_ll
+            c = -centres[p + at] / r_ll
             half = math.sqrt(room) / r_ll
             lo, hi = c - half - 1e-12, c + half + 1e-12
             if not -math.inf < lo <= hi < math.inf:  # inf or nan: numpy's rules decide
@@ -251,21 +334,37 @@ def _expand_small(r, bound, budget, found):
                 spans.append((centres, coords, partial, c, float(lo), count))
                 size += count
         if size > _SCALAR_NODES:
-            zeros = [0.0] * n  # centres above the level, coordinates below: never read
-            return level, [[*cen, *zeros, *xs, p] for cen, xs, p in rows], nodes
+            # centres of the levels above, coordinates of those below: never read
+            zeros = [0.0] * (k * (n - level - 1) + level + 1)
+            return level, [[*cen, *zeros, *xs, q] for cen, xs, q in rows], nodes
         nodes += size
         if nodes > budget:
             raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
-        col = col[:level]
+        lower = col[:at]
+        if p:
+            diag = col[at + 1 : at + k]
         rows = []
         child = 0.0  # the children numbered as ``_Frontier.expand`` numbers them
         for centres, coords, partial, c, lo, count in spans:
             offset = lo - child
+            if p:  # the centres follow the places' partial sums
+                lens, here = centres[:p], centres[p + at + 1 : p + at + k]
+                centres = centres[p:]
             for _ in range(count):
                 x = offset + child
                 child += 1.0
                 step = r_ll * (x - c)
-                new_centres = [cj + rj * x for cj, rj in zip(centres, col)]
+                new_centres = [cj + fj * x for cj, fj in zip(centres, lower)]
+                if p:
+                    sums, total = [], 0.0
+                    for s, d, centre in zip(lens, diag, here):
+                        t = centre + d * x
+                        s = s + t * t
+                        sums.append(s)
+                        total = total + math.sqrt(s)
+                    if not total <= limit:  # a node without children
+                        continue
+                    new_centres = sums + new_centres
                 rows.append((new_centres, (x, *coords), partial + step * step))
     if rows:  # rows[0] is x = 0, the all-zero vector
         leaves = [coords for _, coords, partial in rows[1:] if partial <= bound]
@@ -277,10 +376,9 @@ class _Frontier:
     """Partial vectors whose coordinates above ``level`` are fixed, in numpy.
 
     The search takes this path from the first frontier with more than
-    ``_SCALAR_NODES`` children down.  Row i of ``rows`` holds, in floats,
-    its centres ``sum_{k > level} r[j, k] x_k`` in column j <= level, its
-    coordinates x_j in column n + j, and its partial sum of |r x|^2 over
-    the fixed levels in the last column.
+    ``_SCALAR_NODES`` children down.  ``rows`` are laid out as
+    ``_Kernel`` says: the places' partial sums, the centres, the fixed
+    coordinates and the partial sum of |r x|^2 over the fixed levels.
     Its children are the integers of [lo_i, hi_i], the values the remaining
     room leaves for coordinate ``level``; ``size`` counts the children of
     all rows and ``done`` those that ``expand`` has produced so far.  A row
@@ -295,10 +393,10 @@ class _Frontier:
 
     __slots__ = ("level", "rows", "zero_first", "c", "ends", "offset", "size", "done")
 
-    def __init__(self, r, bound, level, rows, zero_first):
-        r_ll = r[level, level]
-        c = -rows[:, level] / r_ll
-        half = np.sqrt(bound - rows[:, -1]) / r_ll
+    def __init__(self, kernel, level, rows, zero_first):
+        r_ll = kernel.r[level, level]
+        c = -rows[:, kernel.p + level * kernel.k] / r_ll
+        half = np.sqrt(kernel.bound - rows[:, -1]) / r_ll
         lo = np.ceil(c - half - 1e-12)
         if zero_first:
             lo[0] = max(lo[0], 0.0)
@@ -309,18 +407,29 @@ class _Frontier:
         self.size = int(self.ends[-1])
         self.done = 0
 
-    def expand(self, r, limit):
-        """The next ``limit`` children (fewer at the end), as rows."""
-        level, start = self.level, self.done
+    def expand(self, kernel, limit):
+        """The next ``limit`` children (fewer at the end) that pass the
+        place test, as rows."""
+        level, start, p = self.level, self.done, kernel.p
         self.done = min(start + limit, self.size)
         child = np.arange(start, self.done, dtype=float)
         parent = self.ends.searchsorted(child, side="right")
         xi = self.offset[parent] + child
-        step = r[level, level] * (xi - self.c[parent])
+        k, columns = kernel.k, kernel.columns
+        at = level * k  # columns[level, at] is r[level, level], at + 1 + q place q's
+        if p:
+            d = columns[level, at + 1 : at + k]
+            t = self.rows[parent, p + at + 1 : p + at + k] + d * xi[:, None]
+            lens = self.rows[parent, :p] + t * t
+            keep = kernel.kept(lens)
+            parent, xi, lens = parent[keep], xi[keep], lens[keep]
+        step = kernel.r[level, level] * (xi - self.c[parent])
         rows = self.rows[parent]
         rows[:, -1] += step * step
-        rows[:, :level] += r[:level, level] * xi[:, None]
-        rows[:, len(r) + level] = xi
+        if p:
+            rows[:, :p] = lens
+        rows[:, p : p + at] += columns[level, :at] * xi[:, None]
+        rows[:, p + kernel.n * k + level] = xi
         return rows
 
 
@@ -413,18 +522,61 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
     return np.array(t, dtype=np.int64).T
 
 
-def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
-    """c such that {Q <= c b^2} contains the ball of radius b of ``norm``
-    (see the module docstring); the pairing is memoized by the forms."""
-    if norm == "sup":
-        return float(lattice.n_embeddings)
+def _places(lattice: NormedLattice) -> tuple[tuple[int, float], ...]:
+    """The places of the sum norm as (embedding, m_p), memoized by the forms:
+    an embedding and its conjugate with forms equal as arrays make one place
+    with m_p = 2, and every other embedding is a place with m_p = 1."""
 
     def build():
-        forms, conj = lattice.forms, lattice.nf.conj_index
-        paired = all(c != s and np.array_equal(forms[s], forms[c]) for s, c in enumerate(conj))
-        return 0.5 if paired else 1.0
+        forms, places, paired = lattice.forms, [], set()
+        for s, c in enumerate(lattice.nf.conj_index):
+            if s < c and (forms[s] == forms[c]).all():
+                places.append((s, 2.0))
+                paired.add(c)
+            elif s not in paired:
+                places.append((s, 1.0))
+        return tuple(places)
 
-    return lattice.memoized(("sum_factor", lattice.forms.tobytes()), build)
+    return lattice.memoized(("places", lattice.forms.tobytes()), build)
+
+
+def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
+    """c such that {Q <= c b^2} contains the ball of radius b of ``norm``
+    (see the module docstring)."""
+    if norm == "sup":
+        return float(lattice.n_embeddings)
+    return 1.0 / min(m for _, m in _places(lattice))
+
+
+def _place_factors(lattice: NormedLattice) -> np.ndarray:
+    """The factors m_p R_p of the sum norm's places in the reduced basis T
+    that ``enumerate_ellipsoid`` tests, memoized by the forms.
+
+    R_p is upper triangular with R_p^T R_p = T^T F T for the form F of
+    place p.  F is only semidefinite, so Cholesky does not apply: with
+    T^T F T = V diag(w) V^T (negative rounding in w set to 0), the R of
+    the QR decomposition of diag(sqrt w) V^T is such a factor.
+    """
+
+    def build():
+        places = _places(lattice)
+        t = _reduce(lattice)[0]
+        forms = t.T @ lattice.forms[[s for s, _ in places]] @ t
+        w, v = np.linalg.eigh((forms + forms.transpose(0, 2, 1)) / 2)
+        weights = np.array([m for _, m in places])[:, None]
+        roots = (weights * np.sqrt(np.maximum(w, 0.0)))[:, :, None]
+        return np.linalg.qr(roots * v.transpose(0, 2, 1), mode="r")
+
+    return lattice.memoized(("place_factors", lattice.forms.tobytes()), build)
+
+
+def _expected_points(gram: np.ndarray, radius_sq: float) -> float:
+    """The Gaussian heuristic for the number of nonzero lattice points in
+    {x^T gram x <= radius_sq} up to sign: half the ellipsoid's volume over
+    the covolume sqrt(det gram)."""
+    n = len(gram)
+    log_volume = n / 2 * math.log(math.pi * radius_sq) - math.lgamma(n / 2 + 1)
+    return math.exp(log_volume - np.linalg.slogdet(gram)[1] / 2) / 2
 
 
 def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -504,7 +656,9 @@ def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ba
 def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
     """The ``_Ball`` of radius ``bound``; None if the budget runs out.
 
-    The enumeration runs on the reduced basis T; the candidates are mapped
+    The enumeration runs on the reduced basis T, for the sum norm over two
+    or more places also pruned by place when the ellipsoid is expected to
+    hold at least ``_PLACE_POINTS`` points; the candidates are mapped
     back to the lattice's own coordinates and signed there (highest nonzero
     coordinate positive).  One batched pass over all candidates discards
     those clearly outside the ball; the ball norms the survivors again
@@ -513,10 +667,16 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
     """
     limit = bound * (1 + TOL)
     t, reduced_gram = _reduce(lattice)
+    radius_sq = _radius_sq_factor(lattice, norm) * limit * limit
+    places = None
+    if (
+        norm == "sum"
+        and len(_places(lattice)) > 1
+        and _expected_points(reduced_gram, radius_sq) >= _PLACE_POINTS
+    ):
+        places = (_place_factors(lattice), limit * (1 + BATCH_MARGIN))
     try:
-        ys, nodes = enumerate_ellipsoid(
-            reduced_gram, _radius_sq_factor(lattice, norm) * limit * limit, budget
-        )
+        ys, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget, places)
     except BudgetExhausted:
         return None
     xs = ys @ t.T

@@ -223,6 +223,45 @@ def test_non_finite_gram_fixture_rejected(tmp_path, entry):
     assert "Gram 0 has an entry that is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("g", 2.9, "g must be an integer"),
+        ("g", 2.0, "g must be an integer"),
+        ("g", True, "g must be an integer"),
+        ("g", "2", "g must be an integer"),
+        ("r", True, "r must be an integer"),
+        ("r", 1.5, "r must be an integer"),
+        ("omega_sq", "1.5", "omega_sq must be a number"),
+        ("omega_sq", True, "omega_sq must be a number"),
+        ("log_disc", "0.5", "log_disc must be a number"),
+        ("log_disc", [1.0], "log_disc must be a number"),
+        ("residual_C", None, "residual_C must be a number"),
+        ("residual_C", 10**400, "residual_C must be finite"),
+    ],
+)
+def test_invariants_numbers_are_json_numbers(tmp_path, key, value, message):
+    # no truncation or coercion: "g": 2.9 must not become g = 2
+    f = tmp_path / "invariants.json"
+    f.write_text(json.dumps({"g": 2, "omega_sq": 1.0} | {key: value}))
+    with pytest.raises(FixtureError, match=message):
+        load_invariants(f)
+    code, out, err = run_cli(["bounds", "--fixture", str(f), "--d", "5"])
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_invariants_accept_integers_for_reals(tmp_path):
+    f = tmp_path / "invariants.json"
+    f.write_text(json.dumps({"g": 3, "r": 2, "omega_sq": 1, "log_disc": 2, "residual_C": 0}))
+    inv = load_invariants(f)
+    assert (inv.g, inv.r, inv.omega_sq, inv.log_disc, inv.residual_c) == (3, 2, 1.0, 2.0, 0.0)
+    assert all(type(v) is float for v in (inv.omega_sq, inv.log_disc, inv.residual_c))
+    code, _, _ = run_cli(["bounds", "--fixture", str(f), "--d", "5"])
+    assert code == 0
+
+
 def test_invariants_disc_gives_log_disc(tmp_path):
     f = tmp_path / "invariants.json"
     f.write_text(json.dumps({"g": 2, "omega_sq": 1.0, "disc": -12}))

@@ -319,6 +319,28 @@ def signature_fixture_lattices():
     ]
 
 
+def place_fixture_lattices():
+    """Bundles over fields of two or more places, whose sum-norm searches
+    are pruned by place: sqrt2, the totally real x^3 - x^2 - 2x + 1, the
+    mixed x^3 + x + 1 (one real and one complex place) and zeta5 (two
+    complex places), ranks 1-3.  The metrics are well conditioned, which
+    keeps the oracle's boxes small."""
+    from hermlat.transference import random_bundle
+
+    rng = np.random.default_rng(2468)
+    fields = (
+        ("sqrt2-", shipped_field("sqrt2")),
+        ("real3-", build_field([1, -2, -1, 1])),
+        ("x3+x+1-", build_field([1, 1, 0, 1])),
+        ("zeta5-", shipped_field("zeta5")),
+    )
+    return [
+        (f"{name}{rank}", random_bundle(nf, rank, rng, cond_max=3.0 if rank < 3 else 10.0))
+        for name, nf in fields
+        for rank in (1, 2, 3)
+    ]
+
+
 def skewed_bundle(bundle, rng):
     """The bundle in the module basis U e_j, for a unimodular integer U with
     entries up to about 100: its restricted lattice is isometric to the
@@ -377,6 +399,36 @@ def test_oracle_equivalence_trace_dual(name, bundle):
     dual = trace_dual(bundle)
     assert_matches_oracle(dual, dual.z_rank, "q-rank", "sum")
     assert_matches_oracle(dual.weighted(), bundle.rank, "f-rank", "sup")
+
+
+# the largest rank at which the box oracle's box stays small: above it the
+# box of the real cubic and of zeta5 holds 10^8 points or more
+PLACE_ORACLE_RANK = {"sqrt2-": 3, "real3-": 2, "x3+x+1-": 2, "zeta5-": 1}
+
+
+@pytest.mark.parametrize("name,bundle", place_fixture_lattices())
+def test_oracle_equivalence_pruned_by_place(monkeypatch, name, bundle):
+    # the primal lattice and the trace dual (the lambda_vee search), every
+    # search pruned however small; above the oracle's rank the reference is
+    # the search without the place test, which the oracle checks below it:
+    # the pruned ball holds every point of the unpruned one, so values,
+    # witnesses and radii are the same bits
+    monkeypatch.setattr(minima, "_PLACE_POINTS", 0)
+    for build in (restrict_scalars, trace_dual):
+        lat = build(bundle)
+        assert len(minima._places(lat)) > 1
+        for mode, count in (("f-rank", bundle.rank), ("q-rank", lat.z_rank)):
+            if bundle.rank <= PLACE_ORACLE_RANK[name.rstrip("123")]:
+                assert_matches_oracle(lat, count, mode, "sum")
+                continue
+            pruned = successive_minima(lat, count, mode, "sum")
+            with monkeypatch.context() as m:
+                m.setattr(minima, "_PLACE_POINTS", math.inf)
+                whole = successive_minima(build(bundle), count, mode, "sum")
+            assert pruned.certified and whole.certified
+            assert pruned.nodes < whole.nodes
+            assert pruned.values == whole.values and pruned.radius_used == whole.radius_used
+            assert [w.z_coords for w in pruned.witnesses] == [w.z_coords for w in whole.witnesses]
 
 
 def sum_ball_in_euclidean_ellipsoid(lat, bound):
@@ -682,9 +734,56 @@ def test_roadmap_zeta5_bundles_certify(field_zeta5, rank):
     if rank == 2:
         assert profiles["lambda_vee"].nodes <= 20_000
     # exact counts of the sum-norm search in the ellipsoid {Q <= b^2 / 2}
-    # (zeta5 is totally complex); {Q <= b^2} took 10,624 and 233,232 nodes
+    # (zeta5 is totally complex), pruned by place at N = 3 and 4, where the
+    # ellipsoid is expected to hold at least _PLACE_POINTS points; unpruned
+    # they took 6,486 and 100,992 nodes, and {Q <= b^2} 10,624 and 233,232
     # at N = 2 and 3, and 13.4M at N = 4
-    assert profiles["lambda_vee"].nodes == {2: 969, 3: 6_486, 4: 100_992}[rank]
+    assert profiles["lambda_vee"].nodes == {2: 969, 3: 1_797, 4: 18_250}[rank]
+
+
+@pytest.mark.parametrize(
+    "name,rank,seed,nodes,digest",
+    [
+        # exhausted the default budget of 10M nodes unpruned
+        ("sqrt2", 12, 2, 3_402_934, None),
+        # 5,208,069 and 9,946,798 nodes unpruned; the digest is that of
+        # the unpruned search's values (as hex) and witnesses
+        ("zeta5", 5, 1, 220_795, "1e45f8c731576f65"),
+        ("zeta7", 3, 1, 248_834, "0f4bcac7e0c77f74"),
+    ],
+)
+def test_heavy_sum_norm_searches_certify(name, rank, seed, nodes, digest):
+    import hashlib
+
+    from hermlat.transference import BundleChecks, random_bundle
+
+    nf = build_field([1] * 7) if name == "zeta7" else shipped_field(name)
+    ctx = BundleChecks(random_bundle(nf, rank, np.random.default_rng(seed)))
+    prof = ctx.profile("lambda_vee")
+    assert prof.certified and prof.nodes == nodes
+    if digest is not None:
+        text = repr(([v.hex() for v in prof.values], [w.z_coords for w in prof.witnesses]))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "x^3+x+1", "zeta5"])
+def test_sum_ball_keeps_points_on_its_bound(monkeypatch, name):
+    # each bound is the exact sum norm of a reduced basis vector, so that
+    # vector lies on the ball's boundary; searched in increasing order,
+    # every bound is a new pruned search, and its ball must hold the vector
+    # and equal the unpruned reference
+    from hermlat.transference import random_bundle
+
+    monkeypatch.setattr(minima, "_PLACE_POINTS", 0)
+    nf = build_field([1, 1, 0, 1]) if name == "x^3+x+1" else shipped_field(name)
+    lat = trace_dual(random_bundle(nf, 2, np.random.default_rng(3)))
+    assert len(minima._places(lat)) > 1
+    basis = [_canonical(tuple(int(c) for c in z)) for z in lll_transform(lat.euclid_gram).T]
+    for z in sorted(basis, key=lambda z: _agg(lat, z, "sum")):
+        bound = _agg(lat, z, "sum")
+        ball = {v.z_coords for v in enumerate_below(lat, "sum", bound)}
+        assert z in ball
+        assert ball == sum_ball_in_euclidean_ellipsoid(lat, bound)
 
 
 @pytest.mark.parametrize(
@@ -854,18 +953,18 @@ def _kernel_cases():
                 yield gram, radius_sq
 
 
-def _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes):
+def _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes, places=None):
     """Numpy alone (``_SCALAR_NODES`` = 0) and Python floats alone (above
     every frontier) give the same vectors in the same order and the same
     nodes as the default mix, and both run out of budget at nodes - 1."""
     for small in (0, nodes):
         with monkeypatch.context() as m:
             m.setattr(minima, "_SCALAR_NODES", small)
-            got, got_nodes = enumerate_ellipsoid(gram, radius_sq, nodes)
+            got, got_nodes = enumerate_ellipsoid(gram, radius_sq, nodes, places)
             assert got_nodes == nodes
             assert got.dtype == vectors.dtype and np.array_equal(got, vectors)
             with pytest.raises(BudgetExhausted):
-                enumerate_ellipsoid(gram, radius_sq, nodes - 1)
+                enumerate_ellipsoid(gram, radius_sq, nodes - 1, places)
 
 
 def test_enumerate_ellipsoid_matches_box(monkeypatch):
@@ -888,29 +987,114 @@ def test_enumerate_ellipsoid_matches_box(monkeypatch):
     _assert_paths_agree(monkeypatch, np.eye(1), 4 - 7e-12, vectors, nodes)
 
 
+def _place_kernel_cases():
+    """Grams A^T A + n I as two places: the form A^T A (singular for half
+    the A) counted once and (n/2) I counted twice, so the sum norm is
+    |A x| + 2 sqrt(n/2) |x|, with the bound sqrt(radius_sq) under which
+    the sum ball lies in the ellipsoid and cuts it."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        for singular in (False, True):
+            a = rng.integers(-3, 4, (n, n))
+            if singular:
+                a[rng.integers(n)] = 0
+            gram = a.T @ a + n * np.eye(n, dtype=np.int64)
+            factors = np.stack([
+                np.linalg.qr(a.astype(float), mode="r"), 2 * math.sqrt(n / 2) * np.eye(n)
+            ])
+            radius_sq = 2.5 * int(gram.diagonal().max())
+            yield a, gram, radius_sq, (factors, math.sqrt(radius_sq))
+
+
+def test_enumerate_ellipsoid_pruned_by_place(monkeypatch):
+    cut = 0
+    for a, gram, radius_sq, places in _place_kernel_cases():
+        whole, whole_nodes = enumerate_ellipsoid(gram.astype(float), radius_sq, DEFAULT_BUDGET)
+        vectors, nodes = enumerate_ellipsoid(gram.astype(float), radius_sq, DEFAULT_BUDGET, places)
+        assert vectors.dtype == np.int64 and vectors.shape[1] == len(gram)
+        assert nodes <= whole_nodes
+        cut += nodes < whole_nodes
+        found = {tuple(int(c) for c in x) for x in vectors}
+        assert len(found) == len(vectors) and found <= {tuple(x) for x in whole.tolist()}
+        # the box oracle's ellipsoid points whose sum norm, in exact integer
+        # forms, lies clearly inside or clearly outside the bound
+        n = len(gram)
+
+        def sum_norm(x):
+            x = np.array(x)
+            return math.sqrt(int(x @ a.T @ a @ x)) + 2 * math.sqrt(n / 2 * int(x @ x))
+
+        limit = places[1]
+        norms = {x: sum_norm(x) for x in _box_ellipsoid(gram, radius_sq)}
+        assert {x for x, v in norms.items() if v <= limit * (1 - 1e-9)} <= found
+        assert found <= {x for x, v in norms.items() if v <= limit * (1 + 1e-9)}
+        _assert_paths_agree(monkeypatch, gram.astype(float), radius_sq, vectors, nodes, places)
+    assert cut >= 6
+
+
+def test_place_bound_keeps_points_on_it(monkeypatch):
+    # the sum norm |x_0| + 2|x_1| <= 2, in which every partial sum and root
+    # is exact: (2, 0) and (0, 1) lie on the bound and stay, and x_1 = 2
+    # and the children of x_1 = 1 but x_0 = 0 are nodes without children
+    factors = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]])
+    places = (factors, 2.0)
+    vectors, nodes = enumerate_ellipsoid(np.eye(2), 8.0, DEFAULT_BUDGET, places)
+    assert sorted(map(tuple, vectors.tolist())) == [(0, 1), (1, 0), (2, 0)]
+    assert (nodes, enumerate_ellipsoid(np.eye(2), 8.0, DEFAULT_BUDGET)[1]) == (11, 16)
+    _assert_paths_agree(monkeypatch, np.eye(2), 8.0, vectors, nodes, places)
+
+
 def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
-    # a reduced dimension-8 Gram whose frontiers hold hundreds of rows
+    # a reduced dimension-8 Gram whose frontiers hold hundreds of rows,
+    # searched whole and pruned by its two complex places at the bound b
+    # of the sum ball inside {Q <= b^2 / 2}
     from hermlat import shipped_field
     from hermlat.transference import random_bundle
 
-    gram = trace_dual(random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1))).euclid_gram
+    lat = trace_dual(random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1)))
+    gram = lat.euclid_gram
     t = lll_transform(gram)
     gram = t.T @ gram @ t
     gram = (gram + gram.T) / 2
     radius_sq = 2 * gram.diagonal().max()
-    vectors, nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET)
-    assert nodes > 1000
-    _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes)
-    # the order is the search tree's, whatever the chunks
-    for rows in (1, 3):
-        monkeypatch.setattr(minima, "_FRONTIER_ROWS", rows)
-        chunked, chunked_nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET)
-        assert chunked_nodes == nodes
-        assert np.array_equal(chunked, vectors)
-        with pytest.raises(BudgetExhausted):
-            enumerate_ellipsoid(gram, radius_sq, nodes - 1)
-        monkeypatch.setattr(minima, "_SCALAR_NODES", 0)
-        assert np.array_equal(enumerate_ellipsoid(gram, radius_sq, nodes)[0], vectors)
+    pruned = (minima._place_factors(lat), math.sqrt(2 * radius_sq))
+    whole = None
+    for places in (None, pruned):
+        vectors, nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET, places)
+        assert nodes > (1000 if places is None else 500)
+        _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes, places)
+        # the order is the search tree's, whatever the chunks and whichever
+        # path expands the frontiers near the root
+        for rows in (1, 3):
+            for scalar_nodes in (minima._SCALAR_NODES, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(minima, "_FRONTIER_ROWS", rows)
+                    m.setattr(minima, "_SCALAR_NODES", scalar_nodes)
+                    chunked, chunked_nodes = enumerate_ellipsoid(gram, radius_sq, nodes, places)
+                    assert chunked_nodes == nodes
+                    assert np.array_equal(chunked, vectors)
+                    with pytest.raises(BudgetExhausted):
+                        enumerate_ellipsoid(gram, radius_sq, nodes - 1, places)
+        if whole is None:
+            whole, whole_nodes = vectors, nodes
+    # pruning keeps every point of the sum ball and cuts the rest
+    assert nodes < whole_nodes
+    sums = minima.aggregate(lat.exact_norms(whole @ t.T), "sum")
+    kept = {tuple(z) for z in vectors.tolist()}
+    assert {tuple(z) for z in whole[sums <= pruned[1] * (1 - 1e-9)].tolist()} <= kept
+    assert kept <= {tuple(z) for z in whole[sums <= pruned[1] * (1 + 1e-9)].tolist()}
+
+
+def test_expected_points_is_the_gaussian_heuristic():
+    # the disc of radius 10 holds 317 integer points, 158 up to sign and
+    # without 0; the heuristic gives 100 pi / 2 = 157.1
+    assert abs(minima._expected_points(np.eye(2), 100.0) - 158) < 1
+    assert len(enumerate_ellipsoid(np.eye(2), 100.0, DEFAULT_BUDGET)[0]) == 158
+    # scaling the Gram by 4 halves every length: the same count at 4 times the radius
+    gram = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    assert math.isclose(
+        minima._expected_points(4 * gram, 40.0), minima._expected_points(gram, 10.0)
+    )
 
 
 def test_enumerate_ellipsoid_leaves_no_garbage():
