@@ -40,14 +40,10 @@ it
    ball lies inside ``lambda``'s).
    These keys alone decide what lattices that share a memo dict share;
 4. maps the candidates back through T, puts their signs in the original
-   coordinates (highest nonzero coordinate positive), norms them all in
-   one batch and keeps those the batch puts within ``BATCH_MARGIN`` of
-   the ball, sorted by their batch norm.  They are normed again exactly
-   by ``exact_norms`` only as readers reach them, in chunks that double
-   in size (16, 16, 32, 64, ... candidates); each row's exact norms are
-   the bits ``sigma_norms`` gives it alone.  A hit of norm v is handed
-   out only once every candidate of batch norm at most
-   v * (1 + BATCH_MARGIN) is normed, so readers see the exact
+   coordinates (highest nonzero coordinate positive), norms each of them
+   once by ``exact_norms``, which gives a row the bits ``sigma_norms``
+   gives it alone, and keeps those within the ball, sorted by norm.  A
+   read yields each run of equal norms sorted by z, so readers see the
    (norm, z) order of the whole ball however little of it they read;
 5. picks witnesses greedily by nondecreasing (norm, z) with exact
    independence tests in one fraction-free integer rank tracker.  In
@@ -81,7 +77,7 @@ the squared embedding norms |x|_s^2 over all r embeddings):
   of the squares that make up |x|_p^2 = |R_p x|^2, whatever the other
   coordinates are, so sum_p m_p sqrt(l_p) <= sum_p m_p |x|_p, the sum norm
   of every vector that completes the partial one.  A partial vector with
-  sum_p m_p sqrt(l_p) > b (1 + TOL) (1 + BATCH_MARGIN) thus has no
+  sum_p m_p sqrt(l_p) > b (1 + TOL) (1 + PLACE_MARGIN) thus has no
   completion in the ball: it is counted as a node but gets no children,
   and a leaf that fails the test is not a candidate.  Both expansion
   paths update per-place centres and partial sums elementwise, as they
@@ -97,20 +93,19 @@ what certification rests on.  Forms are paired only when
 they are equal as arrays (``bundles.stack_forms`` makes the forms of
 conjugate embeddings equal), so a lattice whose conjugate norms differ
 keeps the looser ellipsoid.  The ellipsoid is enumerated at the radius
-bound * (1 + TOL) that the norm filter accepts.  T is unimodular whatever
+bound * (1 + TOL) that the ball accepts.  T is unimodular whatever
 the rounding in its Gram-Schmidt data, so the reduced coordinates cover
 exactly the same lattice points; floating point only affects how well
-reduced T is.  The place test, the batch norm filter of step 4 and the
-order in which the ball is normed rest on one accuracy assumption: no
-float sum of per-place norms, from the factors R_p or from the batch,
-exceeds its exact value by a relative ``BATCH_MARGIN`` or more.
+reduced T is.  Which points are in the ball, and in what order, is
+decided on the norms that are reported, so only the place test rests on
+an accuracy assumption: no float sum of per-place norms from the factors
+R_p exceeds its exact value by a relative ``PLACE_MARGIN`` or more.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
-import threading
 from dataclasses import dataclass
 from operator import mul
 from typing import Literal, Sequence, get_args
@@ -121,15 +116,10 @@ from .bundles import BundleVector, NormedLattice
 
 TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
-# The batch norm filter passes vectors up to this relative margin above the
-# bound; the survivors are normed again exactly, a chunk at a time as the
-# ball is read, and filtered on their exact norms.
-BATCH_MARGIN = 1e-6
-# Size of the first chunk of batch survivors a ball norms exactly; each
-# later chunk is as large as all before it together, so a read that needs
-# the first k survivors normed norms at most max(16, 2k) of them, in
-# O(log k) stacked calls.
-_NORM_CHUNK = 16
+# The place test of a sum-norm search keeps partial vectors up to this
+# relative margin above the ball's radius, for the rounding of its float
+# sums (see the module docstring).
+PLACE_MARGIN = 1e-6
 
 LLL_DELTA = 0.99
 # Ends the reduction if rounding makes it cycle; T stays unimodular at any exit.
@@ -622,7 +612,7 @@ def enumerate_below(
     if not bound > 0:
         raise ValueError(f"bound must be positive, got {bound}")
     ball = _ball(lattice, norm, bound, budget)
-    return [lattice.to_vector(z) for _, z in ball.read(lattice, bound)]
+    return [lattice.to_vector(z) for _, z in ball.read(bound)]
 
 
 def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ball":
@@ -644,26 +634,27 @@ def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ba
     ball = memo.get(ball_key)
     if ball is not None and bound <= ball.bound:
         return ball
-    if bound < memo.get(exhausted_key, math.inf):
+    if bound >= memo.get(exhausted_key, math.inf):
+        raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
+    try:
         ball = _search(lattice, norm, bound, budget)
-        if ball is not None:
-            memo[ball_key] = ball
-            return ball
+    except BudgetExhausted:
         memo[exhausted_key] = bound
-    raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
+        raise
+    memo[ball_key] = ball
+    return ball
 
 
-def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
-    """The ``_Ball`` of radius ``bound``; None if the budget runs out.
+def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ball":
+    """The ``_Ball`` of radius ``bound``; BudgetExhausted if the budget runs out.
 
     The enumeration runs on the reduced basis T, for the sum norm over two
     or more places also pruned by place when the ellipsoid is expected to
     hold at least ``_PLACE_POINTS`` points; the candidates are mapped
     back to the lattice's own coordinates and signed there (highest nonzero
-    coordinate positive).  One batched pass over all candidates discards
-    those clearly outside the ball; the ball norms the survivors again
-    exactly, so reported values, and the tie order among unit multiples
-    of equal norm, do not depend on the batch's rounding.
+    coordinate positive).  Each candidate is normed once by ``exact_norms``,
+    so reported values, ball membership and the tie order among unit
+    multiples of equal norm do not depend on which candidates share a call.
     """
     limit = bound * (1 + TOL)
     t, reduced_gram = _reduce(lattice)
@@ -674,79 +665,41 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int):
         and len(_places(lattice)) > 1
         and _expected_points(reduced_gram, radius_sq) >= _PLACE_POINTS
     ):
-        places = (_place_factors(lattice), limit * (1 + BATCH_MARGIN))
-    try:
-        ys, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget, places)
-    except BudgetExhausted:
-        return None
-    xs = ys @ t.T
+        places = (_place_factors(lattice), limit * (1 + PLACE_MARGIN))
+    xs, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget, places)
+    xs = xs @ t.T  # rebound, so the reduced coordinates are freed before norming
     last = xs.shape[1] - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)
     xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
-    batch = lattice.batch_norms(xs, norm)
-    keep = np.flatnonzero(batch <= limit * (1 + BATCH_MARGIN))
-    keep = keep[np.argsort(batch[keep], kind="stable")]
-    return _Ball(norm, bound, nodes, xs[keep], batch[keep].tolist())
+    values = aggregate(lattice.exact_norms(xs), norm)
+    keep = np.flatnonzero(values <= limit)
+    keep = keep[np.argsort(values[keep], kind="stable")]
+    return _Ball(bound, nodes, values[keep].tolist(), xs[keep])
 
 
+@dataclass(frozen=True, eq=False)
 class _Ball:
-    """The points of one searched ball, normed exactly as readers reach them.
+    """The points of one searched ball: their exact norms ``values``, a
+    nondecreasing list, and their coordinates, the rows of ``zs`` in the
+    same order.  It lives in a memo that lattices may share and is never
+    changed, so any number of readers may read it at once."""
 
-    ``pending`` holds the candidates the batch filter kept, by nondecreasing
-    batch norm; the first ``normed`` of them have been normed by
-    ``exact_norms``, one stacked call per chunk of max(``_NORM_CHUNK``,
-    ``normed``) candidates, so a short read norms little of a large ball.
-    Those inside the ball wait in ``heap`` by (norm, z) until every
-    candidate whose batch norm could hide an exact norm not above theirs is
-    normed, and then move to ``hits``, the (norm, z) pairs read so far in
-    the order of the whole ball.  The lattice is passed to each read rather
-    than kept, since the ball lives in a memo that lattices may share; its
-    key holds the forms, so every lattice that finds it norms the same.  A
-    lock keeps concurrent readers from norming a candidate twice.
-    """
+    bound: float
+    nodes: int
+    values: list[float]
+    zs: np.ndarray
 
-    __slots__ = ("norm", "bound", "nodes", "pending", "batch", "normed", "heap", "hits", "lock")
-
-    def __init__(self, norm: Norm, bound: float, nodes: int, pending: np.ndarray, batch: list):
-        self.norm, self.bound, self.nodes = norm, bound, nodes
-        self.pending, self.batch, self.normed = pending, batch, 0
-        self.heap: list[tuple[float, tuple[int, ...]]] = []
-        self.hits: list[tuple[float, tuple[int, ...]]] = []
-        self.lock = threading.Lock()
-
-    def read(self, lattice: NormedLattice, bound: float):
+    def read(self, bound: float):
         """The (norm, z) pairs with norm <= bound * (1 + TOL), in (norm, z)
-        order, normed as the reader moves past them."""
-        limit = bound * (1 + TOL)
-        i = 0
-        while i < len(self.hits) or self._extend(lattice, i):
-            hit = self.hits[i]
-            if hit[0] > limit:
-                return
-            yield hit
-            i += 1
-
-    def _extend(self, lattice: NormedLattice, i: int) -> bool:
-        """Norm candidates until hit ``i`` is known; False if the ball has no more."""
-        limit = self.bound * (1 + TOL)
-        heap, batch, n = self.heap, self.batch, len(self.batch)
-        with self.lock:
-            while len(self.hits) <= i:
-                # a candidate whose batch norm exceeds v * (1 + BATCH_MARGIN)
-                # has an exact norm above v, the heap's least
-                while self.normed < n and (
-                    not heap or batch[self.normed] <= heap[0][0] * (1 + BATCH_MARGIN)
-                ):
-                    start = self.normed
-                    self.normed = min(n, start + max(_NORM_CHUNK, start))
-                    zs = self.pending[start : self.normed]
-                    values = aggregate(lattice.exact_norms(zs), self.norm)
-                    for value, z in zip(values.tolist(), zs.tolist()):
-                        if value <= limit:
-                            heapq.heappush(heap, (value, tuple(z)))
-                if not heap:
-                    return False
-                self.hits.append(heapq.heappop(heap))
-            return True
+        order: each run of equal norms is sorted by z as it is reached."""
+        values = self.values
+        end = bisect.bisect_right(values, bound * (1 + TOL))
+        start = 0
+        while start < end:
+            value = values[start]
+            stop = bisect.bisect_right(values, value, start, end)
+            for z in sorted(map(tuple, self.zs[start:stop].tolist())):
+                yield value, z
+            start = stop
 
 
 class _RankTracker:
@@ -856,12 +809,12 @@ def successive_minima(
     if not 1 <= count <= max_k:
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")
 
-    basis_norms = np.sort(lattice.batch_norms(_reduce(lattice)[0].T, norm))
+    basis_norms = np.sort(aggregate(lattice.exact_norms(_reduce(lattice)[0].T), norm))
     index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
     bound = float(basis_norms[index])
     try:
         ball = _ball(lattice, norm, bound, budget)
-        hits, nodes = ball.read(lattice, bound), ball.nodes
+        hits, nodes = ball.read(bound), ball.nodes
     except BudgetExhausted:
         hits, nodes = [], budget
     chosen = _greedy_select(lattice, hits, count, mode)

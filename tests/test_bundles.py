@@ -67,6 +67,14 @@ def test_exact_norms_bit_identical_per_row(all_fields):
                     assert np.array_equal(lat.sigma_norms(zs[i]), plain), name
 
 
+def test_random_bundle_refuses_an_unreachable_condition_bound(field_zeta5):
+    # no Gaussian rank-3 Gram is that well conditioned: the draws stop at the cap
+    from hermlat.transference import random_bundle
+
+    with pytest.raises(BundleError, match="cond_max=1.0"):
+        random_bundle(field_zeta5, 3, np.random.default_rng(1), cond_max=1.0)
+
+
 def test_non_hermitian_rejected(field_q):
     with pytest.raises(BundleError):
         make_bundle(field_q, 2, [np.array([[1.0, 1.0], [0.0, 1.0]])])

@@ -202,6 +202,20 @@ def test_exhausted_field_searches_are_uncertified():
     assert math.isnan(dual.transfer_log_norm) and math.isnan(dual.minkowski_log_norm)
 
 
+def test_dual_minima_verdict_ignores_the_minkowski_search(field_zeta5, monkeypatch):
+    # the inequality reads mu_star, mu_vee and the transfer vector; the
+    # Minkowski vector is only reported alongside
+    from hermlat import transference
+    from hermlat.minima import BudgetExhausted
+
+    def exhausted(nf, budget):
+        raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
+
+    monkeypatch.setattr(transference, "minkowski_codifferent_vector", exhausted)
+    dual = dual_minima_comparison(random_bundle(field_zeta5, 2, np.random.default_rng(1)), 1)
+    assert dual.verdict == "pass" and math.isnan(dual.minkowski_log_norm)
+
+
 def test_check_all_counts(field_qi):
     b = identity_bundle(field_qi, rank=2)
     reports = check_all(b)
@@ -260,7 +274,7 @@ def test_fuzz_arguments_validated(field_q):
 
 
 def test_fuzz_at_desk_scale_limit(field_qi, field_sqrt2):
-    # rank_max 6 over degree-2 fields (N*r up to 12) needs no allow_large;
+    # rank_max 6 over degree-2 fields (N*r up to 12) is within the guard;
     # seed 5 draws two rank-5 bundles, N*r = 10
     reports = fuzz([field_qi, field_sqrt2], 6, 4, seed=5)
     assert reports and all(r.verdict == "pass" for r in reports)
