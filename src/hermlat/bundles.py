@@ -14,9 +14,10 @@ uses the codifferent basis for the trace dual and a one-slot Gram
 [[t_s^2]] for ideal lattices.
 
 Everything is immutable after construction, apart from a bundle's kept
-dual and a lattice's memo of deterministic derived data; concurrent reads
-are safe.  The memo's balls (``hermlat.minima``) are normed in stacked
-chunks as they are read, under a lock of their own.
+dual, a lattice's kept places and its memo of deterministic derived data;
+concurrent reads are safe.  The memo's searched balls (``hermlat.minima``)
+are immutable sorted arrays, so any number of readers may read one at
+once.
 """
 
 from __future__ import annotations
@@ -256,6 +257,22 @@ class NormedLattice:
         """Integer matrix of multiplication by theta on one module slot's coordinates."""
         return self.nf.theta_action(self.basis)
 
+    @functools.cached_property
+    def places(self) -> tuple[tuple[int, int], ...]:
+        """The places of the sum norm as (embedding, m_p), m_p the number of
+        embeddings the place stands for.  An embedding and its conjugate
+        whose forms are equal as arrays (``stack_forms`` makes them so when
+        they agree to rounding) make one place with m_p = 2; every other
+        embedding is a place with m_p = 1."""
+        forms, places, paired = self.forms, [], set()
+        for s, c in enumerate(self.nf.conj_index):
+            if s < c and (forms[s] == forms[c]).all():
+                places.append((s, 2))
+                paired.add(c)
+            elif s not in paired:
+                places.append((s, 1))
+        return tuple(places)
+
 
 def stack_forms(
     forms: Sequence[np.ndarray], conj_index: Sequence[int], what: str
@@ -265,8 +282,8 @@ def stack_forms(
     The forms of conjugate embeddings s and conj_index[s] are equal in exact
     arithmetic but may differ in the last bits; when they agree within
     CONJSYM_TOL (relative) both are replaced by their mean, so that the
-    minima engine sees the two norms equal and can count the place twice.
-    Forms that genuinely differ are kept as they are.
+    two make one place of ``NormedLattice.places``, counted twice.  Forms
+    that genuinely differ are kept as they are.
     """
     forms = list(forms)
     for s, sbar in enumerate(conj_index):

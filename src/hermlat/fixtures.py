@@ -72,7 +72,7 @@ def _json_number(obj: dict, key: str) -> float:
 def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
     _require_keys(obj, {"poly", "basis", "expected_disc"}, {"poly"}, "field fixture")
     poly = obj["poly"]
-    if not isinstance(poly, list) or not all(isinstance(c, int) for c in poly):
+    if not isinstance(poly, list) or not all(_is_json_int(c) for c in poly):
         raise FixtureError("field fixture: poly must be a list of integers")
     basis = None
     if obj.get("basis") is not None:
@@ -80,9 +80,11 @@ def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> Number
             basis = [[Fraction(str(e)) for e in row] for row in obj["basis"]]
         except (ValueError, TypeError):
             raise FixtureError("field fixture: basis entries must be rationals like '1/2'") from None
-    nf = build_field(poly, integral_basis=basis, prec_bits=prec_bits)
     expected = obj.get("expected_disc")
-    if expected is not None and int(expected) != nf.discriminant:
+    if expected is not None and not _is_json_int(expected):
+        raise FixtureError(f"field fixture: expected_disc must be an integer, got {expected!r}")
+    nf = build_field(poly, integral_basis=basis, prec_bits=prec_bits)
+    if expected is not None and expected != nf.discriminant:
         raise FixtureError(
             f"field fixture: expected_disc {expected} != computed {nf.discriminant}"
         )
@@ -111,7 +113,7 @@ def parse_bundle_fixture(
     else:
         raise FixtureError("bundle fixture: field must be an object or a path string")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_json_int(rank) or rank < 1:
         raise FixtureError("bundle fixture: rank must be a positive integer")
     grams_obj = obj["grams"]
     if not isinstance(grams_obj, dict):

@@ -18,26 +18,26 @@ it
    once, on T^T G T.  The kernel is a level-synchronous Fincke-Pohst
    search: it fixes the coordinates from the last down, expanding a whole
    frontier of partial vectors per level, and counts each frontier's
-   children against the node budget before building them.  From the
-   root, frontiers of at most ``_SCALAR_NODES`` children are expanded
-   with Python floats on lists; the first larger one and everything below
-   it go to numpy, whose calls cost about the same per frontier however
-   few rows it holds.  Both paths evaluate the same float expressions,
-   term for term, so the vectors, their order and the node count are the
-   same bits whichever path expands a frontier.  Numpy frontiers are cut
-   into chunks of at most ``_FRONTIER_ROWS`` rows and expanded depth
-   first, so memory is bounded whatever the budget.  A sum-norm search
-   over a lattice of two or more places whose ellipsoid is expected to
-   hold at least ``_PLACE_POINTS`` points (the Gaussian heuristic) also
+   children against the node budget before building them.  The
+   frontiers are numpy arrays, cut into chunks of at most
+   ``_FRONTIER_ROWS`` rows and expanded depth first, so memory is bounded
+   whatever the budget.  A sum-norm search over a lattice of two or more
+   places (``NormedLattice.places``) whose ellipsoid is expected to hold
+   at least ``_PLACE_POINTS`` points (the Gaussian heuristic) also
    carries, per place, the partial sums of that place's norm and cuts off
-   the partial vectors that can no longer reach the ball (see below).  The
-   reduction and the searched balls are memoized in the lattice's memo,
-   each entry keyed by the array it is derived from: T by the Euclidean
-   Gram scaled to a fixed binary exponent (see ``_reduce``), T^T G T by
-   the Gram, the places and their factors by the forms, and the balls by
-   the forms, one per norm and budget, the largest completed; any smaller
-   radius of that norm and budget is answered by a prefix of it (``mu``'s
-   ball lies inside ``lambda``'s).
+   the partial vectors that can no longer reach the ball (see below).
+   Numpy's calls cost about the same per frontier however few rows it
+   holds, so any other search expands its frontiers of at most
+   ``_SCALAR_NODES`` children from the root with Python floats on lists,
+   by the same float expressions, term for term: the vectors, their order
+   and the node count are the same bits whichever path expands a
+   frontier.  The reduction and the searched balls are memoized in the
+   lattice's memo, each entry keyed by the array it is derived from: T by
+   the Euclidean Gram scaled to a fixed binary exponent (see
+   ``_reduce``), T^T G T by the Gram, the place factors by the forms, and
+   the balls by the forms, one per norm and budget, the largest
+   completed; any smaller radius of that norm and budget is answered by a
+   prefix of it (``mu``'s ball lies inside ``lambda``'s).
    These keys alone decide what lattices that share a memo dict share;
 4. maps the candidates back through T, puts their signs in the original
    coordinates (highest nonzero coordinate positive), norms each of them
@@ -79,20 +79,18 @@ the squared embedding norms |x|_s^2 over all r embeddings):
   of every vector that completes the partial one.  A partial vector with
   sum_p m_p sqrt(l_p) > b (1 + TOL) (1 + PLACE_MARGIN) thus has no
   completion in the ball: it is counted as a node but gets no children,
-  and a leaf that fails the test is not a candidate.  Both expansion
-  paths update per-place centres and partial sums elementwise, as they
-  update the ellipsoid's, so the node count still does not depend on the
-  path.  A lattice of one place (Q, or an imaginary quadratic field with
-  paired forms) builds no factors: there m |x| <= b is the ellipsoid
-  itself.
+  and a leaf that fails the test is not a candidate.  Such a search
+  runs in numpy from the root, which updates the per-place centres and
+  partial sums elementwise, as it updates the ellipsoid's.  A lattice of
+  one place (Q, or an imaginary quadratic field with paired forms)
+  builds no factors: there m |x| <= b is the ellipsoid itself.
 
 These are exact inequalities between nonnegative reals, hence an
 enumeration that is complete in the ellipsoid, but for the partial
 vectors the place test cuts off, is complete in the norm ball, which is
-what certification rests on.  Forms are paired only when
-they are equal as arrays (``bundles.stack_forms`` makes the forms of
-conjugate embeddings equal), so a lattice whose conjugate norms differ
-keeps the looser ellipsoid.  The ellipsoid is enumerated at the radius
+what certification rests on.  Forms are paired only when they are equal
+as arrays (``NormedLattice.places``), so a lattice whose conjugate norms
+differ keeps the looser ellipsoid.  The ellipsoid is enumerated at the radius
 bound * (1 + TOL) that the ball accepts.  T is unimodular whatever
 the rounding in its Gram-Schmidt data, so the reduced coordinates cover
 exactly the same lattice points; floating point only affects how well
@@ -130,9 +128,9 @@ _LLL_MAX_SWAPS = 100_000
 # n * ((P+2)n + P + 1) * 8 * _FRONTIER_ROWS with P places to prune by
 # (5 MB at n = 12, P = 2); larger frontiers do not speed it up.
 _FRONTIER_ROWS = 1 << 10
-# Frontiers of at most this many children are expanded with Python floats,
-# about 1 us a child, instead of numpy's calls, about 20 us a frontier
-# however small it is.
+# In a search not pruned by place, frontiers of at most this many children
+# are expanded with Python floats, about 1 us a child, instead of numpy's
+# calls, about 20 us a frontier however small it is.
 _SCALAR_NODES = 8
 # Sum-norm searches are pruned by place only when their ellipsoid is expected
 # to hold at least this many points: below it, building the place factors
@@ -201,15 +199,14 @@ def enumerate_ellipsoid(
     children, and a leaf that fails the test is not returned.
 
     The coordinates are fixed from the last down, a frontier of partial
-    vectors at a time.  From the root, frontiers of at most
-    ``_SCALAR_NODES`` children are expanded with Python floats
-    (``_expand_small``); the first larger one, with everything below it,
-    goes to numpy (``_Frontier``).  Frontiers hold at most
-    ``_FRONTIER_ROWS`` rows and are expanded depth first, so memory does
-    not grow with the budget; each frontier's children are counted against
-    the budget before any of them is built.  Both paths evaluate the same
-    float expressions, so the vectors, their order and the node count do
-    not depend on which path expands a frontier.
+    vectors at a time, in numpy (``_Frontier``).  A search without
+    ``places`` first expands, from the root, the frontiers of at most
+    ``_SCALAR_NODES`` children with Python floats (``_expand_small``),
+    which evaluates the same float expressions, so the vectors, their order
+    and the node count do not depend on which path expands a frontier.
+    Frontiers hold at most ``_FRONTIER_ROWS`` rows and are expanded depth
+    first, so memory does not grow with the budget; each frontier's
+    children are counted against the budget before any of them is built.
     """
     n = gram.shape[0]
     r = np.linalg.cholesky(gram).T  # upper triangular, Q(x) = |r @ x|^2
@@ -219,7 +216,10 @@ def enumerate_ellipsoid(
 
     kernel = _Kernel(r, float(bound), places)
     found: list[np.ndarray] = []
-    level, rows, nodes = _expand_small(kernel, budget, found)
+    if places is None:
+        level, rows, nodes = _expand_small(kernel, budget, found)
+    else:  # the root: one all-zero row
+        level, rows, nodes = n - 1, np.zeros((1, kernel.p + n * kernel.k + n + 1)), 0
     if level >= 0:
         with np.errstate(invalid="ignore"):  # sqrt of a negative room: no children
             first = kernel.p + n * kernel.k  # x_0's column
@@ -263,7 +263,7 @@ class _Kernel:
         n = len(r)
         self.n, self.r, self.bound = n, r, bound
         if places is None:
-            self.p, self.k, self.columns, self.limit = 0, 1, r.T, math.inf
+            self.p, self.k, self.columns = 0, 1, r.T
         else:
             factors, self.limit = places
             factors = np.concatenate([r[None], factors])
@@ -273,8 +273,8 @@ class _Kernel:
 
     def kept(self, lens):
         """Which rows of partial sums l_p (one column per place) pass the
-        place test, their square roots summed place by place as
-        ``_expand_small`` sums them."""
+        place test, their square roots summed place by place from the
+        first."""
         roots = np.sqrt(lens)
         total = roots[:, 0]
         for p in range(1, self.p):
@@ -283,34 +283,33 @@ class _Kernel:
 
 
 def _expand_small(kernel, budget, found):
-    """Expand the frontiers from the root down while each has at most
-    ``_SCALAR_NODES`` children; returns (level, rows, nodes).
+    """Expand the frontiers of a search without places from the root down
+    while each has at most ``_SCALAR_NODES`` children; returns (level,
+    rows, nodes).
 
-    A row is (sums and centres, coordinates, partial sum): the places'
-    partial sums and the centres of the levels <= ``level``, the fixed
-    coordinates above it and the partial sum of |r x|^2, as in a
-    ``_Frontier`` row; row 0 is the all-zero prefix.  Each frontier's
-    children are counted against the budget before they are built; those
-    that fail the place test are dropped, and the leaves of level 0 go to
-    ``found``.  A frontier with more children, or with an infinite or nan
-    interval, is returned unexpanded, as its level and its rows laid out
-    for ``_Frontier``; once level 0 is done the level is -1.  Every float
-    is computed by the expression ``_Frontier`` uses, term for term, so
-    the intervals, the nodes and the leaves are the same bits.
+    A row is (centres, coordinates, partial sum): the centres of the
+    levels <= ``level``, the fixed coordinates above it and the partial
+    sum of |r x|^2, as in a ``_Frontier`` row; row 0 is the all-zero
+    prefix.  Each frontier's children are counted against the budget
+    before they are built, and the leaves of level 0 go to ``found``.  A
+    frontier with more children, or with an infinite or nan interval, is
+    returned unexpanded, as its level and its rows laid out for
+    ``_Frontier``; once level 0 is done the level is -1.  Every float is
+    computed by the expression ``_Frontier`` uses, term for term, so the
+    intervals, the nodes and the leaves are the same bits.
     """
-    n, p, k, bound, limit = kernel.n, kernel.p, kernel.k, kernel.bound, kernel.limit
-    columns = kernel.columns.tolist()  # columns[l][j * k + i] = factors[i, j, l]
-    rows, nodes = [([0.0] * (p + n * k), (), 0.0)], 0
+    n, bound = kernel.n, kernel.bound
+    columns = kernel.columns.tolist()  # columns[l][j] = r[j, l]
+    rows, nodes = [([0.0] * n, (), 0.0)], 0
     for level in range(n - 1, -1, -1):
         col = columns[level]
-        at = level * k
-        r_ll = col[at]
+        r_ll = col[level]
         spans, size = [], 0
         for i, (centres, coords, partial) in enumerate(rows):
             room = bound - partial
             if not room >= 0:  # negative or nan room: no children
                 continue
-            c = -centres[p + at] / r_ll
+            c = -centres[level] / r_ll
             half = math.sqrt(room) / r_ll
             lo, hi = c - half - 1e-12, c + half + 1e-12
             if not -math.inf < lo <= hi < math.inf:  # inf or nan: numpy's rules decide
@@ -325,36 +324,21 @@ def _expand_small(kernel, budget, found):
                 size += count
         if size > _SCALAR_NODES:
             # centres of the levels above, coordinates of those below: never read
-            zeros = [0.0] * (k * (n - level - 1) + level + 1)
+            zeros = [0.0] * n
             return level, [[*cen, *zeros, *xs, q] for cen, xs, q in rows], nodes
         nodes += size
         if nodes > budget:
             raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
-        lower = col[:at]
-        if p:
-            diag = col[at + 1 : at + k]
+        lower = col[:level]
         rows = []
         child = 0.0  # the children numbered as ``_Frontier.expand`` numbers them
         for centres, coords, partial, c, lo, count in spans:
             offset = lo - child
-            if p:  # the centres follow the places' partial sums
-                lens, here = centres[:p], centres[p + at + 1 : p + at + k]
-                centres = centres[p:]
             for _ in range(count):
                 x = offset + child
                 child += 1.0
                 step = r_ll * (x - c)
                 new_centres = [cj + fj * x for cj, fj in zip(centres, lower)]
-                if p:
-                    sums, total = [], 0.0
-                    for s, d, centre in zip(lens, diag, here):
-                        t = centre + d * x
-                        s = s + t * t
-                        sums.append(s)
-                        total = total + math.sqrt(s)
-                    if not total <= limit:  # a node without children
-                        continue
-                    new_centres = sums + new_centres
                 rows.append((new_centres, (x, *coords), partial + step * step))
     if rows:  # rows[0] is x = 0, the all-zero vector
         leaves = [coords for _, coords, partial in rows[1:] if partial <= bound]
@@ -365,15 +349,17 @@ def _expand_small(kernel, budget, found):
 class _Frontier:
     """Partial vectors whose coordinates above ``level`` are fixed, in numpy.
 
-    The search takes this path from the first frontier with more than
-    ``_SCALAR_NODES`` children down.  ``rows`` are laid out as
+    A search pruned by place takes this path from the root, and any other
+    from its first frontier with more than ``_SCALAR_NODES`` children
+    down.  ``rows`` are laid out as
     ``_Kernel`` says: the places' partial sums, the centres, the fixed
     coordinates and the partial sum of |r x|^2 over the fixed levels.
     Its children are the integers of [lo_i, hi_i], the values the remaining
     room leaves for coordinate ``level``; ``size`` counts the children of
     all rows and ``done`` those that ``expand`` has produced so far.  A row
     whose partial sum exceeds the bound (negative room, nan interval) has
-    no children.  When ``zero_first``, row 0 is the all-zero prefix: its
+    no children; an infinite interval has more children than any budget
+    allows, so it raises BudgetExhausted.  When ``zero_first``, row 0 is the all-zero prefix: its
     interval is clamped at 0 (the sign convention), so its first child,
     x_level = 0, is the next level's all-zero prefix and comes first among
     the children.  The float expressions are those of a recursive
@@ -394,6 +380,8 @@ class _Frontier:
         self.ends = counts.cumsum()
         self.offset = lo - (self.ends - counts)  # child k of row i takes x_level = offset_i + k
         self.level, self.rows, self.zero_first, self.c = level, rows, zero_first, c
+        if not math.isfinite(self.ends[-1]):
+            raise BudgetExhausted("enumeration frontier has infinitely many children")
         self.size = int(self.ends[-1])
         self.done = 0
 
@@ -512,30 +500,12 @@ def lll_transform(gram: np.ndarray) -> np.ndarray:
     return np.array(t, dtype=np.int64).T
 
 
-def _places(lattice: NormedLattice) -> tuple[tuple[int, float], ...]:
-    """The places of the sum norm as (embedding, m_p), memoized by the forms:
-    an embedding and its conjugate with forms equal as arrays make one place
-    with m_p = 2, and every other embedding is a place with m_p = 1."""
-
-    def build():
-        forms, places, paired = lattice.forms, [], set()
-        for s, c in enumerate(lattice.nf.conj_index):
-            if s < c and (forms[s] == forms[c]).all():
-                places.append((s, 2.0))
-                paired.add(c)
-            elif s not in paired:
-                places.append((s, 1.0))
-        return tuple(places)
-
-    return lattice.memoized(("places", lattice.forms.tobytes()), build)
-
-
 def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
     """c such that {Q <= c b^2} contains the ball of radius b of ``norm``
     (see the module docstring)."""
     if norm == "sup":
         return float(lattice.n_embeddings)
-    return 1.0 / min(m for _, m in _places(lattice))
+    return 1.0 / min(m for _, m in lattice.places)
 
 
 def _place_factors(lattice: NormedLattice) -> np.ndarray:
@@ -549,7 +519,7 @@ def _place_factors(lattice: NormedLattice) -> np.ndarray:
     """
 
     def build():
-        places = _places(lattice)
+        places = lattice.places
         t = _reduce(lattice)[0]
         forms = t.T @ lattice.forms[[s for s, _ in places]] @ t
         w, v = np.linalg.eigh((forms + forms.transpose(0, 2, 1)) / 2)
@@ -563,10 +533,13 @@ def _place_factors(lattice: NormedLattice) -> np.ndarray:
 def _expected_points(gram: np.ndarray, radius_sq: float) -> float:
     """The Gaussian heuristic for the number of nonzero lattice points in
     {x^T gram x <= radius_sq} up to sign: half the ellipsoid's volume over
-    the covolume sqrt(det gram)."""
+    the covolume sqrt(det gram); inf when that exceeds the float range."""
     n = len(gram)
     log_volume = n / 2 * math.log(math.pi * radius_sq) - math.lgamma(n / 2 + 1)
-    return math.exp(log_volume - np.linalg.slogdet(gram)[1] / 2) / 2
+    try:
+        return math.exp(log_volume - np.linalg.slogdet(gram)[1] / 2) / 2
+    except OverflowError:
+        return math.inf
 
 
 def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -662,7 +635,7 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_
     places = None
     if (
         norm == "sum"
-        and len(_places(lattice)) > 1
+        and len(lattice.places) > 1
         and _expected_points(reduced_gram, radius_sq) >= _PLACE_POINTS
     ):
         places = (_place_factors(lattice), limit * (1 + PLACE_MARGIN))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hermlat.cli import main
-from hermlat.fixtures import FixtureError, load_bundle, load_invariants
+from hermlat.fixtures import FixtureError, load_bundle, load_field, load_invariants
 from hermlat.reports import render_report
 from hermlat.transference import STATEMENTS, check_all
 
@@ -103,6 +103,56 @@ def test_expected_disc_validated(tmp_path):
     f.write_text(json.dumps({"poly": [1, 0, 1], "expected_disc": -3}))
     code, _, err = run_cli(["field", "--fixture", str(f)])
     assert code == 1
+
+
+SQRT2 = {"poly": [-2, 0, 1]}
+POLY_MESSAGE = "poly must be a list of integers"
+DISC_MESSAGE = "expected_disc must be an integer"
+FIELD_INTEGER_CASES = {
+    "poly-bool": ({"poly": [-2, 0, True]}, POLY_MESSAGE),
+    "poly-float": ({"poly": [-2, 0, 1.0]}, POLY_MESSAGE),
+    "poly-string": ({"poly": [-2, "0", 1]}, POLY_MESSAGE),
+    "disc-float": (SQRT2 | {"expected_disc": 8.9}, DISC_MESSAGE),
+    "disc-integral-float": (SQRT2 | {"expected_disc": 8.0}, DISC_MESSAGE),
+    "disc-string": (SQRT2 | {"expected_disc": "8"}, DISC_MESSAGE),
+    "disc-bool": (SQRT2 | {"expected_disc": True}, DISC_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("fixture,message", FIELD_INTEGER_CASES.values(), ids=FIELD_INTEGER_CASES)
+def test_field_fixture_integers_are_json_integers(tmp_path, fixture, message):
+    # no coercion: true must not become the coefficient 1, nor 8.9 the disc 8
+    f = tmp_path / "field.json"
+    f.write_text(json.dumps(fixture))
+    with pytest.raises(FixtureError, match=message):
+        load_field(f)
+    code, out, err = run_cli(["field", "--fixture", str(f)])
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("rank", v, "rank must be a positive integer") for v in (True, 1.0, "1")]
+    + [("field", fixture, message) for fixture, message in FIELD_INTEGER_CASES.values()],
+    ids=["rank-bool", "rank-float", "rank-string", *FIELD_INTEGER_CASES],
+)
+def test_bundle_fixture_integers_are_json_integers(tmp_path, key, value, message):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(
+        {"field": SQRT2, "rank": 1, "grams": {"0": [[[1, 0]]], "1": [[[1, 0]]]}} | {key: value}
+    ))
+    with pytest.raises(FixtureError, match=message):
+        load_bundle(f)
+    code, out, err = run_cli(["check", "--fixture", str(f), "--statement", "all"])
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_every_shipped_fixture_loads():
+    for path in sorted(FIXDIR.glob("*.json")):
+        load = {"field": load_field, "bundle": load_bundle}.get(path.stem.split("_")[0], load_invariants)
+        assert load(path) is not None
 
 
 @pytest.mark.parametrize("bits", ["0", "-3"])

@@ -36,6 +36,7 @@ from hermlat import (
 )
 from hermlat import exactlinalg as xl
 from hermlat import minima
+from hermlat.bundles import NormedLattice
 from hermlat.minima import enumerate_ellipsoid, lll_transform
 
 from conftest import identity_bundle
@@ -416,7 +417,7 @@ def test_oracle_equivalence_pruned_by_place(monkeypatch, name, bundle):
     monkeypatch.setattr(minima, "_PLACE_POINTS", 0)
     for build in (restrict_scalars, trace_dual):
         lat = build(bundle)
-        assert len(minima._places(lat)) > 1
+        assert len(lat.places) > 1
         for mode, count in (("f-rank", bundle.rank), ("q-rank", lat.z_rank)):
             if bundle.rank <= PLACE_ORACLE_RANK[name.rstrip("123")]:
                 assert_matches_oracle(lat, count, mode, "sum")
@@ -777,7 +778,7 @@ def test_sum_ball_keeps_points_on_its_bound(monkeypatch, name):
     monkeypatch.setattr(minima, "_PLACE_POINTS", 0)
     nf = build_field([1, 1, 0, 1]) if name == "x^3+x+1" else shipped_field(name)
     lat = trace_dual(random_bundle(nf, 2, np.random.default_rng(3)))
-    assert len(minima._places(lat)) > 1
+    assert len(lat.places) > 1
     basis = [_canonical(tuple(int(c) for c in z)) for z in lll_transform(lat.euclid_gram).T]
     for z in sorted(basis, key=lambda z: _agg(lat, z, "sum")):
         bound = _agg(lat, z, "sum")
@@ -956,7 +957,10 @@ def _kernel_cases():
 def _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes, places=None):
     """Numpy alone (``_SCALAR_NODES`` = 0) and Python floats alone (above
     every frontier) give the same vectors in the same order and the same
-    nodes as the default mix, and both run out of budget at nodes - 1."""
+    nodes as the default mix, and both run out of budget at nodes - 1.  A
+    search with ``places`` runs in numpy from the root whatever
+    ``_SCALAR_NODES`` is, so there both variations check that it ignores
+    the setting."""
     for small in (0, nodes):
         with monkeypatch.context() as m:
             m.setattr(minima, "_SCALAR_NODES", small)
@@ -1044,6 +1048,50 @@ def test_place_bound_keeps_points_on_it(monkeypatch):
     _assert_paths_agree(monkeypatch, np.eye(2), 8.0, vectors, nodes, places)
 
 
+def _unreachable(*args):
+    raise AssertionError("called where it must not be")
+
+
+def test_pruned_search_runs_in_numpy_from_the_root(monkeypatch):
+    # the case above, with the scalar path unavailable: the same vectors,
+    # in the search tree's order, and the same nodes
+    monkeypatch.setattr(minima, "_expand_small", _unreachable)
+    factors = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]])
+    vectors, nodes = enumerate_ellipsoid(np.eye(2), 8.0, DEFAULT_BUDGET, (factors, 2.0))
+    assert vectors.tolist() == [[1, 0], [2, 0], [0, 1]] and nodes == 11
+    with pytest.raises(BudgetExhausted):
+        enumerate_ellipsoid(np.eye(2), 8.0, 10, (factors, 2.0))
+
+
+def test_infinite_frontier_exhausts_the_budget(monkeypatch):
+    # an infinite radius gives the root infinitely many children, whichever
+    # path meets them first
+    factors = np.stack([np.eye(2), np.eye(2)])
+    for places in (None, (factors, math.inf)):
+        with pytest.raises(BudgetExhausted):
+            enumerate_ellipsoid(np.eye(2), math.inf, 100, places)
+    # a radius whose square overflows to inf; the second call is answered
+    # by the memo of the exhausted radius, without a search
+    lat = restrict_scalars(identity_bundle(shipped_field("gaussian")))
+    with pytest.raises(BudgetExhausted):
+        enumerate_below(lat, "sup", 1e300, budget=1000)
+    monkeypatch.setattr(minima, "_search", _unreachable)
+    with pytest.raises(BudgetExhausted):
+        enumerate_below(lat, "sup", 1e300, budget=1000)
+
+
+def test_huge_sum_ball_exhausts_the_budget():
+    # over two places the Gaussian heuristic of a radius of 1e100 exceeds
+    # the float range: the search is pruned, and its root has finitely
+    # many children, far more than the budget
+    from hermlat.transference import random_bundle
+
+    lat = restrict_scalars(random_bundle(shipped_field("sqrt2"), 2, np.random.default_rng(1)))
+    assert minima._expected_points(lat.euclid_gram, 1e200) == math.inf
+    with pytest.raises(BudgetExhausted):
+        enumerate_below(lat, "sum", 1e100, budget=1000)
+
+
 def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
     # a reduced dimension-8 Gram whose frontiers hold hundreds of rows,
     # searched whole and pruned by its two complex places at the bound b
@@ -1063,8 +1111,8 @@ def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
         vectors, nodes = enumerate_ellipsoid(gram, radius_sq, DEFAULT_BUDGET, places)
         assert nodes > (1000 if places is None else 500)
         _assert_paths_agree(monkeypatch, gram, radius_sq, vectors, nodes, places)
-        # the order is the search tree's, whatever the chunks and whichever
-        # path expands the frontiers near the root
+        # the order is the search tree's, whatever the chunks and, in the
+        # unpruned search, whichever path expands the frontiers near the root
         for rows in (1, 3):
             for scalar_nodes in (minima._SCALAR_NODES, 0):
                 with monkeypatch.context() as m:
@@ -1083,6 +1131,40 @@ def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
     kept = {tuple(z) for z in vectors.tolist()}
     assert {tuple(z) for z in whole[sums <= pruned[1] * (1 - 1e-9)].tolist()} <= kept
     assert kept <= {tuple(z) for z in whole[sums <= pruned[1] * (1 + 1e-9)].tolist()}
+
+
+@pytest.mark.parametrize("name", [*shipped_field_names(), "zeta7"])
+def test_places_pair_conjugate_embeddings(name):
+    expected = {
+        "q": ((0, 1),),
+        "gaussian": ((0, 2),),
+        "sqrt2": ((0, 1), (1, 1)),
+        "sqrt_minus2": ((0, 2),),
+        "sqrt_minus3": ((0, 2),),
+        "zeta5": ((0, 2), (2, 2)),
+        "zeta7": ((0, 2), (2, 2), (4, 2)),
+    }[name]
+    from hermlat.transference import random_bundle
+
+    nf = build_field([1] * 7) if name == "zeta7" else shipped_field(name)
+    bundle = random_bundle(nf, 2, np.random.default_rng(5))
+    tdual = trace_dual(bundle)
+    for lat in (restrict_scalars(bundle), tdual, tdual.weighted()):
+        assert lat.places == expected
+
+
+def test_places_of_unequal_conjugate_forms_count_once():
+    # conjugate forms one ulp apart are not paired: every embedding is a
+    # place of its own, and the sum norm keeps the ellipsoid {Q <= b^2}
+    lat = restrict_scalars(identity_bundle(shipped_field("zeta5")))
+    forms = lat.forms.copy()
+    for s, c in enumerate(lat.nf.conj_index):
+        if s < c:
+            forms[c, 0, 0] = np.nextafter(forms[c, 0, 0], math.inf)
+    unequal = NormedLattice(lat.nf, lat.max_f_rank, lat.basis, forms, lat.euclid_gram, lat.witness)
+    assert lat.places == ((0, 2), (2, 2))
+    assert unequal.places == ((0, 1), (1, 1), (2, 1), (3, 1))
+    assert minima._radius_sq_factor(unequal, "sum") == 1.0
 
 
 def test_expected_points_is_the_gaussian_heuristic():
