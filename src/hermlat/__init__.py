@@ -89,7 +89,6 @@ _EXPORTS = {
         "DiagonalBundle",
         "NotDiagonalError",
         "SlopeProfile",
-        "SlopeReport",
         "as_diagonal",
         "check_minima_slope_bound",
         "check_slope_duality",
@@ -100,7 +99,6 @@ _EXPORTS = {
     ),
     "transference": (
         "BundleChecks",
-        "DualMinimaReport",
         "TheoremReport",
         "bundle_digest",
         "check_all",

@@ -107,6 +107,8 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_field(args) -> int:
+    if args.cn_max < 1:
+        raise ValueError(f"--cn-max must be at least 1, got {args.cn_max}")
     nf = load_field(args.fixture, args.precision)
     tm = trace_module(nf)
     header = render_header(
@@ -207,7 +209,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    fields = [load_field(p.strip(), args.precision) for p in args.fields.split(",")]
+    paths = [p.strip() for p in args.fields.split(",")]
+    if "" in paths:
+        raise FixtureError(f"--fields entry {paths.index('') + 1} is empty in {args.fields!r}")
+    fields = [load_field(p, args.precision) for p in paths]
     reports = fuzz(fields, args.rank_max, args.trials, args.seed, args.budget)
     header = render_header(
         "fuzz",

@@ -151,7 +151,6 @@ class AsymptoticReport:
     lower_values: tuple[float, ...]  # sharpest lower bound per grid point
     upper_values: tuple[float, ...]  # sharpest upper bound per grid point
     fitted_k: float  # max_d d * |deviation from limit|
-    ordering_ok: bool
     converged: bool
 
 
@@ -160,15 +159,14 @@ def asymptotic_consistency(inv: CurveInvariants, tol: float = 1e-6) -> Asymptoti
 
     On the grid d = 10^1 .. 10^8: with zero discriminant term and zero
     residual constant, every lower bound must sit below every upper bound
-    (checked pointwise for d >= 2g+1), both families must converge to
-    omega_sq / (4(g-1)) with deviation <= fitted_k / d, and the deviation
-    at d = 10^8 must be below tol.
+    (checked pointwise for d >= 2g+1; ValueError otherwise), both families
+    must converge to omega_sq / (4(g-1)) with deviation <= fitted_k / d,
+    and the deviation at d = 10^8 must be below tol.
     """
     g = inv.g
     limit = float(height_limit(inv.omega_sq, 2 * g - 2))
     grid = tuple(10**e for e in range(1, 9))
     lows, ups = [], []
-    ordering_ok = True
     fitted_k = 0.0
     for d in grid:
         la, lb = height_lower_bounds(inv, d)
@@ -177,22 +175,18 @@ def asymptotic_consistency(inv: CurveInvariants, tol: float = 1e-6) -> Asymptoti
         hi = min(float(ua), float(ub) if ub is not None else math.inf)
         lows.append(lo)
         ups.append(hi)
-        if d >= 2 * g + 1 and inv.residual_c == 0 and inv.log_disc == 0:
-            if lo > hi + 1e-9:
-                ordering_ok = False
+        if d >= 2 * g + 1 and inv.residual_c == 0 and inv.log_disc == 0 and lo > hi + 1e-9:
+            raise ValueError(
+                "lower bound exceeded upper bound on the grid; formula transcription bug"
+            )
         for v in (lo, hi):
             fitted_k = max(fitted_k, d * abs(v - limit))
     converged = abs(lows[-1] - limit) <= tol and abs(ups[-1] - limit) <= tol
-    if not ordering_ok:
-        raise ValueError(
-            "lower bound exceeded upper bound on the grid; formula transcription bug"
-        )
     return AsymptoticReport(
         limit=limit,
         grid=grid,
         lower_values=tuple(lows),
         upper_values=tuple(ups),
         fitted_k=fitted_k,
-        ordering_ok=ordering_ok,
         converged=converged,
     )

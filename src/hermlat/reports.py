@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .transference import DualMinimaReport, TheoremReport
+from .transference import TheoremReport
 
 REPORT_VERSION = "hermlat-report/1"
 
@@ -29,9 +29,7 @@ def render_header(command: str, config: Sequence[tuple[str, str]]) -> list[str]:
     return lines
 
 
-def render_report(rep: TheoremReport | DualMinimaReport) -> list[str]:
-    if isinstance(rep, DualMinimaReport):
-        return _dual_minima_doc(rep)
+def render_report(rep: TheoremReport) -> list[str]:
     lines = [f"statement: {rep.statement}", f"digest: {rep.digest}"]
     if rep.context:
         lines.extend(f"{k}: {v}" for k, v in rep.context if k != "gram_dump")
@@ -50,18 +48,6 @@ def render_report(rep: TheoremReport | DualMinimaReport) -> list[str]:
         # full reproduction data for failures
         lines.extend(f"repro {k}: {v}" for k, v in rep.context)
     return lines
-
-
-def _dual_minima_doc(rep: DualMinimaReport) -> list[str]:
-    return [
-        f"statement: dual-minima[k={rep.k}]",
-        f"mu_dual_bundle: {fmt(rep.mu_dual_bundle)}",
-        f"mu_trace_dual: {fmt(rep.mu_trace_dual)}",
-        f"transfer_log_norm: {fmt(rep.transfer_log_norm)}",
-        f"minkowski_log_norm: {fmt(rep.minkowski_log_norm)}",
-        f"minkowski_bound: {fmt(rep.minkowski_bound)}",
-        f"verdict: {rep.verdict}",
-    ]
 
 
 def render_documents(header: list[str], documents: Iterable[list[str]]) -> str:

@@ -11,6 +11,10 @@ checked here hold on diagonals:
 * slope duality: sigma_k(E) + sigma_(N+1-k)(E*) = 0,
 * the minima/slope comparison: mu_k(E) + sigma_k(E) >= 0.
 
+Both checkers return a ``hermlat.transference.TheoremReport`` carrying the
+bundle's digest, the two sides and their ``sum``, the slack and the verdict,
+so they render like every other checked statement.
+
 Slope computations reject non-diagonal input: successive slopes of a
 general bundle over a number ring are out of scope here, and diagonals
 exercise every identity this package verifies.
@@ -27,6 +31,7 @@ import numpy as np
 from .bundles import BundleError, HermitianBundle, make_bundle, restrict_scalars
 from .minima import DEFAULT_BUDGET, successive_minima
 from .numberfield import NumberField
+from .transference import TheoremReport, _verdict, bundle_digest
 
 
 class NotDiagonalError(BundleError):
@@ -108,21 +113,11 @@ def diagonal_slopes(diag: DiagonalBundle) -> SlopeProfile:
     return SlopeProfile(tuple(degrees))
 
 
-@dataclass(frozen=True)
-class SlopeReport:
-    k: int
-    mu_k: float
-    sigma_k: float
-    total: float
-    certified: bool
-    holds: bool
-
-
 def dual_diagonal(diag: DiagonalBundle) -> DiagonalBundle:
     return diagonal_bundle(diag.nf, [[1.0 / t for t in line] for line in diag.line_scales])
 
 
-def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT_BUDGET, slack: float = 1e-9) -> SlopeReport:
+def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT_BUDGET, slack: float = 1e-9) -> TheoremReport:
     """Minima/slope comparison on a diagonal bundle: mu_k + sigma_k >= 0."""
     if not 1 <= k <= diag.rank:
         raise ValueError("k out of range")
@@ -130,28 +125,26 @@ def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT
     mu_k = prof.values[k - 1] if prof.certified else math.nan
     sigma_k = diagonal_slopes(diag).slopes[k - 1]
     total = mu_k + sigma_k
-    return SlopeReport(
-        k=k,
-        mu_k=mu_k,
-        sigma_k=sigma_k,
-        total=total,
-        certified=prof.certified,
-        holds=bool(prof.certified and total >= -slack),
+    return TheoremReport(
+        statement=f"minima-slope[k={k}]",
+        digest=bundle_digest(diag.bundle),
+        quantities=(("mu_k", mu_k), ("sigma_k", sigma_k), ("sum", total)),
+        slack=slack,
+        verdict=_verdict(prof.certified, total >= -slack),
     )
 
 
-def check_slope_duality(diag: DiagonalBundle, k: int, slack: float = 1e-10) -> SlopeReport:
+def check_slope_duality(diag: DiagonalBundle, k: int, slack: float = 1e-10) -> TheoremReport:
     """sigma_k of the bundle plus sigma_(N+1-k) of its dual vanishes."""
     if not 1 <= k <= diag.rank:
         raise ValueError("k out of range")
     sigma_k = diagonal_slopes(diag).slopes[k - 1]
     sigma_dual = diagonal_slopes(dual_diagonal(diag)).slopes[diag.rank - k]
     total = sigma_k + sigma_dual
-    return SlopeReport(
-        k=k,
-        mu_k=float("nan"),
-        sigma_k=sigma_k,
-        total=total,
-        certified=True,
-        holds=bool(abs(total) <= slack),
+    return TheoremReport(
+        statement=f"slope-duality[k={k}]",
+        digest=bundle_digest(diag.bundle),
+        quantities=(("sigma_k", sigma_k), ("sigma_dual_N+1-k", sigma_dual), ("sum", total)),
+        slack=slack,
+        verdict=_verdict(True, abs(total) <= slack),
     )

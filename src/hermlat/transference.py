@@ -1,9 +1,10 @@
 """Executable transference statements and a seeded fuzz harness.
 
 Each checker computes both sides of one inequality from certified minima
-and returns a TheoremReport.  A report passes only when every inequality
-holds within its declared slack AND every minima computation certified;
-uncertified minima can never produce a pass.
+and returns a TheoremReport, as do the slope checkers of ``hermlat.slopes``:
+one report type, rendered one way, carries every verdict.  A report passes
+only when every inequality holds within its declared slack AND every minima
+computation certified; uncertified minima can never produce a pass.
 
 Slack policy: 1e-6 for statements whose bound involves transcendental
 constants, 1e-9 for purely structural comparisons.  ``DECLARED`` gives
@@ -328,25 +329,7 @@ def check_proof_chain(bundle_or_checks, k: int) -> TheoremReport:
     )
 
 
-@dataclass(frozen=True)
-class DualMinimaReport:
-    """The two dual minima and the transfer vector bound, with the verdict."""
-
-    k: int
-    mu_dual_bundle: float  # mu_k of E* via the inverse metric
-    mu_trace_dual: float  # mu_k of E^v through the alpha identification
-    transfer_log_norm: float  # sup log-norm of the transfer vector
-    minkowski_log_norm: float  # sup log-norm of the codifferent Minkowski vector
-    minkowski_bound: float  # (1/r)log|disc| - (r2/r)log(pi)
-    certified: bool
-    holds: bool
-
-    @property
-    def verdict(self) -> str:
-        return _verdict(self.certified, self.holds)
-
-
-def dual_minima_comparison(bundle_or_checks, k: int, slack: float | None = None) -> DualMinimaReport:
+def dual_minima_comparison(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
     """Check mu_k(E*) <= mu_k(E^v) + sup log|v| with the transfer vector.
 
     The left side is the ``mu_star`` profile (dual bundle, inverse
@@ -365,15 +348,23 @@ def dual_minima_comparison(bundle_or_checks, k: int, slack: float | None = None)
     _, mink_log = _searched(minkowski_codifferent_vector, ctx.nf, ctx.budget)
     certified = star.certified and dual.certified and v is not None
     lhs = _value(star, k - 1)
-    return DualMinimaReport(
-        k=k,
-        mu_dual_bundle=lhs,
-        mu_trace_dual=_value(dual, k - 1),
-        transfer_log_norm=v_log,
-        minkowski_log_norm=mink_log,
-        minkowski_bound=minkowski_codifferent_bound(ctx.nf),
-        certified=certified,
-        holds=bool(certified and lhs <= _value(dual, k - 1) + v_log + slack),
+    mid = _value(dual, k - 1)
+    return TheoremReport(
+        statement=f"dual-minima[k={k}]",
+        digest=ctx.digest,
+        quantities=(
+            ("mu_dual_bundle", lhs),  # mu_k of E* via the inverse metric
+            ("mu_trace_dual", mid),  # mu_k of E^v through the alpha identification
+            ("transfer_log_norm", v_log),  # sup log-norm of the transfer vector
+            ("minkowski_log_norm", mink_log),  # sup log-norm of the codifferent Minkowski vector
+            ("minkowski_bound", minkowski_codifferent_bound(ctx.nf)),  # (1/r)log|disc| - (r2/r)log(pi)
+        ),
+        slack=slack,
+        verdict=_verdict(certified, lhs <= mid + v_log + slack),
+        witnesses=(
+            ("mu_dual_bundle", _witness(star, k - 1)),
+            ("mu_trace_dual", _witness(dual, k - 1)),
+        ),
     )
 
 
@@ -384,7 +375,7 @@ STATEMENTS = {
     "index": (check_index_comparison, lambda n, r: range(0, n), SLACK_STRUCTURAL),
     "chain": (check_proof_chain, lambda n, r: range(1, n + 1), None),
 }
-# every statement: check_all's, and the comparison whose report is a DualMinimaReport
+# every statement: check_all's, and the dual-minima comparison, which check_all leaves out
 DECLARED = {**STATEMENTS,
             "dual-minima": (dual_minima_comparison, lambda n, r: range(1, n + 1), SLACK_ANALYTIC)}
 # statement -> the profiles its checker reads

@@ -214,9 +214,9 @@ def test_criterion_6_slope_identities():
                 slope_rep = check_minima_slope_bound(diag, k)
                 dualty = check_slope_duality(diag, k)
                 checked += 1
-                if not (slope_rep.holds and slope_rep.total >= -1e-9):
+                if not (slope_rep.passed and slope_rep.get("sum") >= -1e-9):
                     ok = False
-                if not (dualty.holds and abs(dualty.total) <= 1e-10):
+                if not (dualty.passed and abs(dualty.get("sum")) <= 1e-10):
                     ok = False
     _report(6, ok, f"minima+slope >= -1e-9 and slope duality == 0 (1e-10) on {checked} checks")
 

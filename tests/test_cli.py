@@ -178,6 +178,7 @@ def test_dual_minima_takes_slack():
     code, out, _ = run_cli(argv + ["--slack", "-5"])
     assert code == 2
     assert "verdict: fail" in out
+    assert "slack: -5.000000000000e+00" in out
     assert run_cli(argv)[0] == 0
 
 
@@ -233,6 +234,24 @@ def test_fuzz_arguments_validated(flag, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("cn_max", ["0", "-3"])
+def test_field_cn_max_below_one_is_a_usage_error(cn_max):
+    # the duality-gap constant needs N >= 1, so an empty table is refused
+    code, out, err = run_cli(["field", "--fixture", str(FIXDIR / "field_q.json"), f"--cn-max={cn_max}"])
+    assert code == 1
+    assert out == ""
+    assert f"--cn-max must be at least 1, got {cn_max}" in err
+
+
+@pytest.mark.parametrize("fields, entry", [(f"{FIXDIR / 'field_q.json'},", 2), (",", 1)],
+                         ids=["trailing", "only-commas"])
+def test_fuzz_empty_field_entry_is_a_fixture_error(fields, entry):
+    code, out, err = run_cli(["fuzz", "--fields", fields, "--trials", "1"])
+    assert code == 1
+    assert out == ""
+    assert f"--fields entry {entry} is empty" in err and "Errno" not in err
 
 
 @pytest.mark.parametrize("disc", [0, True, 2.7, "12"], ids=["zero", "bool", "float", "string"])

