@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bundles import BundleError, PrecisionError
@@ -99,6 +100,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _list_flag(flag: str, text: str) -> list[str]:
+    """The stripped entries of a comma-separated flag; FixtureError naming an empty one."""
+    entries = [entry.strip() for entry in text.split(",")]
+    if "" in entries:
+        raise FixtureError(f"{flag} entry {entries.index('') + 1} is empty in {text!r}")
+    return entries
+
+
+def _exit_code(reports) -> int:
+    """The exit code of a run from its reports' verdicts: a failure outranks
+    an uncertified result."""
+    verdicts = {rep.verdict for rep in reports}
+    if "fail" in verdicts:
+        return EXIT_FAIL
+    if "uncertified" in verdicts:
+        return EXIT_UNCERTIFIED
+    return EXIT_PASS
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -172,7 +192,7 @@ def _cmd_minima(args) -> int:
 
 def _cmd_check(args) -> int:
     selected = {name: st for name, st in DECLARED.items() if args.statement in (name, "all")}
-    fixed = [name for name, (_, _, slack) in selected.items() if slack is None]
+    fixed = [name for name, (_, _, slack, _) in selected.items() if slack is None]
     if fixed and args.slack is not None:
         raise ValueError(
             f"--slack does not apply to {args.statement}: the {fixed[0]}'s links keep their declared slacks"
@@ -183,7 +203,7 @@ def _cmd_check(args) -> int:
     ctx = BundleChecks(bundle, args.budget, selected)
     kw = {} if args.slack is None else {"slack": args.slack}
     reports = []
-    for check, indices, _ in selected.values():
+    for check, indices, *_ in selected.values():
         ks = indices(bundle.rank, bundle.nf.degree) if args.k is None else [args.k]
         reports += [check(ctx, k, **kw) for k in ks]
     docs = [render_report(rep) for rep in reports]
@@ -200,19 +220,11 @@ def _cmd_check(args) -> int:
         ],
     )
     _emit(render_documents(header, docs), args.out)
-    verdicts = {rep.verdict for rep in reports}
-    if "fail" in verdicts:
-        return EXIT_FAIL
-    if "uncertified" in verdicts:
-        return EXIT_UNCERTIFIED
-    return EXIT_PASS
+    return _exit_code(reports)
 
 
 def _cmd_fuzz(args) -> int:
-    paths = [p.strip() for p in args.fields.split(",")]
-    if "" in paths:
-        raise FixtureError(f"--fields entry {paths.index('') + 1} is empty in {args.fields!r}")
-    fields = [load_field(p, args.precision) for p in paths]
+    fields = [load_field(p, args.precision) for p in _list_flag("--fields", args.fields)]
     reports = fuzz(fields, args.rank_max, args.trials, args.seed, args.budget)
     header = render_header(
         "fuzz",
@@ -225,32 +237,23 @@ def _cmd_fuzz(args) -> int:
             ("precision", str(args.precision)),
         ],
     )
-    counts = {"pass": 0, "fail": 0, "uncertified": 0}
-    for rep in reports:
-        counts[rep.verdict] += 1
-    summary = [
-        f"reports: {len(reports)}",
-        f"pass: {counts['pass']}",
-        f"fail: {counts['fail']}",
-        f"uncertified: {counts['uncertified']}",
-    ]
+    counts = Counter(rep.verdict for rep in reports)
+    summary = [f"reports: {len(reports)}"]
+    summary += [f"{verdict}: {counts[verdict]}" for verdict in ("pass", "fail", "uncertified")]
     docs = [summary]
     docs.extend(render_report(rep) for rep in reports)
     _emit(render_documents(header, docs), args.out)
-    if counts["fail"]:
-        return EXIT_FAIL
-    if counts["uncertified"]:
-        return EXIT_UNCERTIFIED
-    return EXIT_PASS
+    return _exit_code(reports)
 
 
 def _cmd_bounds(args) -> int:
     inv = load_invariants(args.fixture)
+    entries = _list_flag("--d", args.d)  # its FixtureError is a ValueError: keep it out of the try
     try:
-        degrees = [int(x) for x in args.d.split(",") if x.strip()]
+        degrees = [int(x) for x in entries]
     except ValueError:
         raise FixtureError(f"--d must be a comma-separated integer list, got {args.d!r}") from None
-    if not degrees or any(d < 1 for d in degrees):
+    if any(d < 1 for d in degrees):
         raise FixtureError("--d needs positive integers")
     header = render_header(
         "bounds",
@@ -285,6 +288,15 @@ def _cmd_bounds(args) -> int:
     return EXIT_PASS
 
 
+_COMMANDS = {
+    "field": _cmd_field,
+    "minima": _cmd_minima,
+    "check": _cmd_check,
+    "fuzz": _cmd_fuzz,
+    "bounds": _cmd_bounds,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -292,17 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        if args.command == "field":
-            return _cmd_field(args)
-        if args.command == "minima":
-            return _cmd_minima(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except (FixtureError, FieldError, BundleError, OSError, ValueError) as e:
         sys.stderr.write(f"hermlat: {e}\n")
         return EXIT_USAGE

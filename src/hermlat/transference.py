@@ -7,8 +7,11 @@ only when every inequality holds within its declared slack AND every minima
 computation certified; uncertified minima can never produce a pass.
 
 Slack policy: 1e-6 for statements whose bound involves transcendental
-constants, 1e-9 for purely structural comparisons.  ``DECLARED`` gives
-each statement's slack and valid indices k; the checkers read both there.
+constants, 1e-9 for purely structural comparisons.  ``DECLARED`` holds
+one entry per statement: its checker, valid indices k, slack and the
+minima profiles it reads.  The checkers take their k range and slack from
+it, ``BundleChecks`` the reads, and ``check_all`` and the command line the
+statements they sweep.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ class BundleChecks:
         self._profiles: dict[str, MinimaProfile] = {}
         self._memo: dict = {}
         names = DECLARED if statements is None else statements
-        reads = {key for name in names for key in READS[name]}
+        reads = {key for name in names for key in DECLARED[name][3]}
         self._lambda_first = {"mu", "lambda"} <= reads
 
     @cached_property
@@ -170,7 +173,7 @@ def _prepare(name: str, source, k: int, slack: float | None = None):
     """The BundleChecks of ``source`` (a bundle or a BundleChecks) and the declared slack
     of statement ``name`` unless overridden; ValueError for k outside its declared range."""
     ctx = source if isinstance(source, BundleChecks) else BundleChecks(source, statements=[name])
-    _, indices, declared = DECLARED[name]
+    _, indices, declared, _ = DECLARED[name]
     ks = indices(ctx.bundle.rank, ctx.nf.degree)
     if k not in ks:
         raise ValueError(f"k={k} out of range for {name}: need {ks.start} <= k <= {ks.stop - 1}")
@@ -368,31 +371,28 @@ def dual_minima_comparison(bundle_or_checks, k: int, slack: float | None = None)
     )
 
 
-# statement -> (checker, valid k for a rank-N bundle over a degree-r field, slack or None if fixed)
-STATEMENTS = {
-    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1), SLACK_ANALYTIC),
-    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1), SLACK_ANALYTIC),
-    "index": (check_index_comparison, lambda n, r: range(0, n), SLACK_STRUCTURAL),
-    "chain": (check_proof_chain, lambda n, r: range(1, n + 1), None),
+# One entry per statement: (checker, valid k for a rank-N bundle over a
+# degree-r field, slack or None if fixed, the profiles the checker reads).
+# The reads decide whether BundleChecks computes lambda before mu, so they
+# must name exactly what the checker reads.
+DECLARED = {
+    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1), SLACK_ANALYTIC, ("mu", "mu_star")),
+    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1), SLACK_ANALYTIC,
+              ("lambda", "lambda_vee")),
+    "index": (check_index_comparison, lambda n, r: range(0, n), SLACK_STRUCTURAL, ("mu", "lambda")),
+    "chain": (check_proof_chain, lambda n, r: range(1, n + 1), None, tuple(PROFILES)),
+    "dual-minima": (dual_minima_comparison, lambda n, r: range(1, n + 1), SLACK_ANALYTIC,
+                    ("mu_star", "mu_vee")),
 }
-# every statement: check_all's, and the dual-minima comparison, which check_all leaves out
-DECLARED = {**STATEMENTS,
-            "dual-minima": (dual_minima_comparison, lambda n, r: range(1, n + 1), SLACK_ANALYTIC)}
-# statement -> the profiles its checker reads
-READS = {
-    "sandwich": ("mu", "mu_star"),
-    "polar": ("lambda", "lambda_vee"),
-    "index": ("mu", "lambda"),
-    "chain": tuple(PROFILES),
-    "dual-minima": ("mu_star", "mu_vee"),
-}
+# check_all's statements: every declared one but the dual-minima comparison
+STATEMENTS = {name: entry for name, entry in DECLARED.items() if name != "dual-minima"}
 
 
 def check_all(bundle: HermitianBundle, budget: int = DEFAULT_BUDGET) -> list[TheoremReport]:
     """Run every checker of ``STATEMENTS`` at every valid index for one bundle."""
     ctx = BundleChecks(bundle, budget, STATEMENTS)
     n, r = bundle.rank, bundle.nf.degree
-    return [check(ctx, k) for check, indices, _ in STATEMENTS.values() for k in indices(n, r)]
+    return [check(ctx, k) for check, indices, *_ in STATEMENTS.values() for k in indices(n, r)]
 
 
 def fuzz(

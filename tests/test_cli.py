@@ -245,13 +245,37 @@ def test_field_cn_max_below_one_is_a_usage_error(cn_max):
     assert f"--cn-max must be at least 1, got {cn_max}" in err
 
 
-@pytest.mark.parametrize("fields, entry", [(f"{FIXDIR / 'field_q.json'},", 2), (",", 1)],
-                         ids=["trailing", "only-commas"])
-def test_fuzz_empty_field_entry_is_a_fixture_error(fields, entry):
-    code, out, err = run_cli(["fuzz", "--fields", fields, "--trials", "1"])
+FUZZ_Q = ["fuzz", "--trials", "1", "--fields"]
+BOUNDS_G2 = ["bounds", "--fixture", str(FIXDIR / "invariants_g2.json"), "--d"]
+
+
+@pytest.mark.parametrize("argv, text, entry", [
+    (FUZZ_Q, f"{FIXDIR / 'field_q.json'},", 2),
+    (FUZZ_Q, ",", 1),
+    (BOUNDS_G2, "5,,6", 2),
+    (BOUNDS_G2, ",", 1),
+    (BOUNDS_G2, "5, ,6", 2),
+], ids=["trailing", "only-commas", "d-inner", "d-only-comma", "d-blank"])
+def test_fuzz_empty_field_entry_is_a_fixture_error(argv, text, entry):
+    # both comma-separated flags refuse an empty entry and name it
+    code, out, err = run_cli(argv + [text])
     assert code == 1
     assert out == ""
-    assert f"--fields entry {entry} is empty" in err and "Errno" not in err
+    assert err == f"hermlat: {argv[-1]} entry {entry} is empty in {text!r}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (" 5 , 6 ", None),
+    ("0", "--d needs positive integers"),
+    ("x", "--d must be a comma-separated integer list, got 'x'"),
+], ids=["spaces", "zero", "not-an-integer"])
+def test_bounds_d_entries(text, message):
+    code, out, err = run_cli(BOUNDS_G2 + [text])
+    if message is None:
+        assert code == 0, err
+        assert [l.partition("|")[0] for l in out.splitlines() if "|" in l][1:] == ["5", "6"]
+    else:
+        assert (code, out, err) == (1, "", f"hermlat: {message}\n")
 
 
 @pytest.mark.parametrize("disc", [0, True, 2.7, "12"], ids=["zero", "bool", "float", "string"])
@@ -344,6 +368,12 @@ def test_uncertified_check_exit_code():
     ])
     assert code == 3
     assert "verdict: uncertified" in out
+
+
+def test_uncertified_fuzz_exit_code():
+    code, out, _ = run_cli(["fuzz", "--fields", str(FIXDIR / "field_q.json"), "--trials", "1", "--budget", "2"])
+    assert code == 3
+    assert "fail: 0" in out and "verdict: uncertified" in out
 
 
 def test_exhausted_field_searches_still_report():

@@ -29,7 +29,7 @@ from hermlat import (
 from hermlat import bundles
 from hermlat.bundles import dual_bundle
 from hermlat.reports import render_report
-from hermlat.transference import DECLARED, READS
+from hermlat.transference import DECLARED
 
 from conftest import FIXDIR, identity_bundle
 
@@ -105,7 +105,7 @@ def test_declared_k_range(name, field, n, all_fields):
     # polar transference 1 <= k <= Nr, index comparison 0 <= k <= N-1
     nf = all_fields[field]
     lo, hi = {"polar": (1, n * nf.degree), "index": (0, n - 1)}.get(name, (1, n))
-    check, indices, _ = DECLARED[name]
+    check, indices, _, _ = DECLARED[name]
     assert indices(n, nf.degree) == range(lo, hi + 1)
     ctx = BundleChecks(identity_bundle(nf, rank=n))
     for k in (lo, hi):
@@ -117,12 +117,12 @@ def test_declared_k_range(name, field, n, all_fields):
 
 @pytest.mark.parametrize("name", list(DECLARED))
 def test_reads_names_the_profiles_each_checker_reads(name, field_zeta5):
-    # READS decides whether lambda is computed before mu, so it must name
-    # exactly what each checker reads
-    check, indices, _ = DECLARED[name]
+    # the reads of DECLARED decide whether lambda is computed before mu, so
+    # they must name exactly what each checker reads
+    check, indices, _, reads = DECLARED[name]
     ctx = BundleChecks(random_bundle(field_zeta5, 2, np.random.default_rng(1)), statements=[name])
     check(ctx, indices(2, 4)[0])
-    assert set(ctx._profiles) == set(READS[name])
+    assert set(ctx._profiles) == set(reads)
 
 
 SLOPE_CHECKERS = {"minima-slope": check_minima_slope_bound, "slope-duality": check_slope_duality}
@@ -134,7 +134,7 @@ def test_every_checker_renders_one_report_type(name):
     # the bundle digest, the slack and the verdict
     bundle = load_bundle(FIXDIR / "bundle_diag_4_quarter.json")
     if name in DECLARED:
-        check, indices, _ = DECLARED[name]
+        check, indices, _, _ = DECLARED[name]
         rep = check(bundle, indices(bundle.rank, bundle.nf.degree)[0])
     else:
         rep = SLOPE_CHECKERS[name](as_diagonal(bundle), 1)
