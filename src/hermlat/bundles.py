@@ -40,10 +40,6 @@ CONJSYM_TOL = 1e-12
 # took more than 52.
 RANDOM_FLOOR = 1e-3
 RANDOM_MAX_DRAWS = 10_000
-# NormedLattice.exact_norms norms this many rows at a time, so its float
-# copy of the rows and its (rows, 1, N*r) product stay at NORM_CHUNK * N*r
-# floats each however many rows it is given (1.2 MB at N*r = 18).
-NORM_CHUNK = 8192
 
 
 class BundleError(ValueError):
@@ -242,18 +238,17 @@ class NormedLattice:
 
         Each (row, form) pair is one vector-matrix and one dot product, the
         BLAS calls of ``x @ p @ x`` on its own, so a row's norms are the
-        same bits whatever rows it is stacked with.  That lets the rows be
-        normed in chunks of ``NORM_CHUNK``, one form at a time.  Only one
-        form per place is normed: the conjugate of a place with m_p = 2 has
-        an array-equal form (``places``), so its column is a copy.
+        same bits whatever rows it is stacked with: a caller may norm a
+        large set in blocks of any size (``minima._search`` does), and the
+        rows it is given are normed at once.  Only one form per place is
+        normed: the conjugate of a place with m_p = 2 has an array-equal
+        form (``places``), so its column is a copy.
         """
         sq = np.empty((len(zs), self.n_embeddings))
-        for start in range(0, len(zs), NORM_CHUNK):
-            xs = np.ascontiguousarray(zs[start : start + NORM_CHUNK], dtype=float)
-            rows, cols = xs[:, None, :], xs[:, :, None]
-            for s, _ in self.places:
-                sq[start : start + NORM_CHUNK, s] = (rows @ self.forms[s] @ cols)[:, 0, 0]
+        xs = np.ascontiguousarray(zs, dtype=float)
+        rows, cols = xs[:, None, :], xs[:, :, None]
         for s, m in self.places:
+            sq[:, s] = (rows @ self.forms[s] @ cols)[:, 0, 0]
             if m == 2:
                 sq[:, self.nf.conj_index[s]] = sq[:, s]
         return np.sqrt(np.maximum(sq, 0.0))

@@ -10,7 +10,7 @@ Bundle fixture (JSON object):
     field         inline field fixture object, or a path string to one
     rank          module rank N
     grams         object keyed by embedding index ("0" .. "r-1"); each value
-                  is an N x N matrix of [re, im] pairs, row-major
+                  is an N x N matrix of [re, im] pairs of numbers, row-major
 
 Curve-invariants fixture (JSON object):
     g, r, omega_sq, residual_C, and either disc (nonzero integer) or log_disc
@@ -58,15 +58,15 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_number(obj: dict, key: str) -> float:
-    """``obj[key]`` as a float; FixtureError unless it is a JSON number."""
-    value = obj[key]
+def _json_number(value, what: str) -> float:
+    """``value`` as a float; FixtureError naming ``what`` unless it is a JSON
+    number: a bool or a string is not, nor is an integer beyond the float range."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise FixtureError(f"invariants fixture: {key} must be a number, got {value!r}")
+        raise FixtureError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise FixtureError(f"invariants fixture: {key} must be finite") from None
+    except OverflowError:
+        raise FixtureError(f"{what} must be finite") from None
 
 
 def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
@@ -126,12 +126,13 @@ def parse_bundle_fixture(
     grams = []
     for s in range(nf.degree):
         rows = grams_obj[str(s)]
-        try:
+        try:  # each entry unpacks to exactly two JSON numbers
             h = np.array(
-                [[complex(float(e[0]), float(e[1])) for e in row] for row in rows],
+                [[complex(_json_number(re, "re"), _json_number(im, "im")) for re, im in row]
+                 for row in rows],
                 dtype=complex,
             )
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError):  # FixtureError is a ValueError
             raise FixtureError(
                 f"bundle fixture: gram {s} must be a matrix of [re, im] pairs"
             ) from None
@@ -165,7 +166,7 @@ def load_invariants(path: str | Path) -> CurveInvariants:
             raise FixtureError(f"invariants fixture: disc must be a nonzero integer, got {disc!r}")
         log_disc = math.log(abs(disc))
     elif "log_disc" in obj:
-        log_disc = _json_number(obj, "log_disc")
+        log_disc = _json_number(obj["log_disc"], "invariants fixture: log_disc")
     for key in ("g", "r"):
         if key in obj and not _is_json_int(obj[key]):
             raise FixtureError(f"invariants fixture: {key} must be an integer, got {obj[key]!r}")
@@ -174,8 +175,8 @@ def load_invariants(path: str | Path) -> CurveInvariants:
             g=obj["g"],
             r=obj.get("r", 1),
             log_disc=log_disc,
-            omega_sq=_json_number(obj, "omega_sq"),
-            residual_c=_json_number(obj, "residual_C") if "residual_C" in obj else 0.0,
+            omega_sq=_json_number(obj["omega_sq"], "invariants fixture: omega_sq"),
+            residual_c=_json_number(obj.get("residual_C", 0.0), "invariants fixture: residual_C"),
         )
     except ValueError as e:
         raise FixtureError(f"invariants fixture: {e}") from None

@@ -40,9 +40,11 @@ it
    prefix of it (``mu``'s ball lies inside ``lambda``'s).
    These keys alone decide what lattices that share a memo dict share;
 4. maps the candidates back through T, puts their signs in the original
-   coordinates (highest nonzero coordinate positive), norms each of them
-   once by ``exact_norms``, which gives a row the bits ``sigma_norms``
-   gives it alone, and keeps those within the ball, sorted by norm.  A
+   coordinates (highest nonzero coordinate positive) and norms each of
+   them once by ``exact_norms``, which gives a row the bits ``sigma_norms``
+   gives it alone, all in place and ``_FRONTIER_ROWS`` rows at a time, so
+   beside the candidates it holds one block's copies and one norm per
+   candidate; it keeps those within the ball, sorted by norm.  A
    read yields each run of equal norms sorted by z, so readers see the
    (norm, z) order of the whole ball however little of it they read;
 5. picks witnesses greedily by nondecreasing (norm, z) with exact
@@ -126,7 +128,9 @@ _LLL_MAX_SWAPS = 100_000
 # most one frontier per level, so they take at most n * (2n+1) * 8 *
 # _FRONTIER_ROWS bytes (2.5 MB at n = 12) whatever the budget, and
 # n * ((P+2)n + P + 1) * 8 * _FRONTIER_ROWS with P places to prune by
-# (5 MB at n = 12, P = 2); larger frontiers do not speed it up.
+# (5 MB at n = 12, P = 2); larger frontiers do not speed it up.  _search
+# maps, signs and norms the candidates in place in blocks of as many rows,
+# so it adds one block's copies and a float per candidate to them.
 _FRONTIER_ROWS = 1 << 10
 # In a search not pruned by place, frontiers of at most this many children
 # are expanded with Python floats, about 1 us a child, instead of numpy's
@@ -625,7 +629,8 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_
     or more places also pruned by place when the ellipsoid is expected to
     hold at least ``_PLACE_POINTS`` points; the candidates are mapped
     back to the lattice's own coordinates and signed there (highest nonzero
-    coordinate positive).  Each candidate is normed once by ``exact_norms``,
+    coordinate positive), in place, ``_FRONTIER_ROWS`` rows at a time.
+    Each candidate is normed once by ``exact_norms``, with its block,
     so reported values, ball membership and the tie order among unit
     multiples of equal norm do not depend on which candidates share a call.
     """
@@ -640,10 +645,13 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_
     ):
         places = (_place_factors(lattice), limit * (1 + PLACE_MARGIN))
     xs, nodes = enumerate_ellipsoid(reduced_gram, radius_sq, budget, places)
-    xs = xs @ t.T  # rebound, so the reduced coordinates are freed before norming
-    last = xs.shape[1] - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)
-    xs *= np.sign(xs[np.arange(len(xs)), last])[:, None]
-    values = aggregate(lattice.exact_norms(xs), norm)
+    values = np.empty(len(xs))
+    for start in range(0, len(xs), _FRONTIER_ROWS):
+        block = xs[start : start + _FRONTIER_ROWS]
+        block[:] = block @ t.T
+        last = block.shape[1] - 1 - np.argmax(block[:, ::-1] != 0, axis=1)
+        block *= np.sign(block[np.arange(len(block)), last])[:, None]
+        values[start : start + _FRONTIER_ROWS] = aggregate(lattice.exact_norms(block), norm)
     keep = np.flatnonzero(values <= limit)
     keep = keep[np.argsort(values[keep], kind="stable")]
     return _Ball(bound, nodes, values[keep].tolist(), xs[keep])

@@ -39,8 +39,8 @@ def test_make_bundle_diagonal_norms(field_q):
 
 def test_exact_norms_bit_identical_per_row(all_fields):
     # each row's stacked norms are the bits of the row normed alone and of
-    # the plain sqrt(max(x @ p @ x, 0)), whatever the chunk and its layout
-    from hermlat import build_field, bundles, minima
+    # the plain sqrt(max(x @ p @ x, 0)), whatever the block and its layout
+    from hermlat import build_field, minima
     from hermlat.transference import BundleChecks, random_bundle
 
     rng = np.random.default_rng(3)
@@ -67,15 +67,16 @@ def test_exact_norms_bit_identical_per_row(all_fields):
                     assert np.array_equal(lat.sigma_norms(zs[i]), plain), name
                 for s, m_p in lat.places:  # a place's conjugate column is the place's
                     assert m_p == 1 or np.array_equal(stacked[:, s], stacked[:, nf.conj_index[s]]), name
-    # more rows than one chunk: the same bits as the rows normed in uneven
-    # pieces, and as the plain norms at the chunk boundary
+    # more rows than one block of minima._search (1,024): the same bits as
+    # the rows normed in uneven pieces, one at a time, and as the plain norms
     ctx = BundleChecks(random_bundle(fields["zeta7"], 2, np.random.default_rng(1)))
     for lat in (ctx.primal, ctx.tdual, ctx.weighted):
-        zs = rng.integers(-4, 5, size=(bundles.NORM_CHUNK + 5, lat.z_rank))
+        zs = rng.integers(-4, 5, size=(1029, lat.z_rank))
         stacked = lat.exact_norms(zs)
         pieces = [lat.exact_norms(zs[i : i + 999]) for i in range(0, len(zs), 999)]
         assert np.array_equal(stacked, np.concatenate(pieces))
-        for i in range(bundles.NORM_CHUNK - 2, bundles.NORM_CHUNK + 2):
+        for i in range(1022, 1026):
+            assert np.array_equal(stacked[i], lat.exact_norms(zs[i : i + 1])[0])
             x = zs[i].astype(float)
             assert np.array_equal(stacked[i], np.sqrt(np.maximum([x @ p @ x for p in lat.forms], 0.0)))
 

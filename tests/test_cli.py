@@ -132,6 +132,24 @@ def test_field_fixture_integers_are_json_integers(tmp_path, fixture, message):
 
 
 @pytest.mark.parametrize(
+    "entry",
+    ["20", [2, 0, 7], [True, False], ["2", "0"], {"a": 1, "b": 2}, [10**400, 0]],
+    ids=["string", "triple", "bools", "strings", "object", "beyond-float"],
+)
+def test_gram_entries_are_pairs_of_json_numbers(tmp_path, entry):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps({
+        "field": {"poly": [0, 1]},
+        "rank": 2,
+        "grams": {"0": [[[1, 0], entry], [entry, [1, 0]]]},
+    }))
+    code, out, err = run_cli(["check", "--fixture", str(f), "--statement", "all"])
+    assert (code, out, err) == (
+        1, "", "hermlat: bundle fixture: gram 0 must be a matrix of [re, im] pairs\n"
+    )
+
+
+@pytest.mark.parametrize(
     "key,value,message",
     [("rank", v, "rank must be a positive integer") for v in (True, 1.0, "1")]
     + [("field", fixture, message) for fixture, message in FIELD_INTEGER_CASES.values()],

@@ -1131,6 +1131,44 @@ def test_enumerate_ellipsoid_frontier_chunks(monkeypatch):
     kept = {tuple(z) for z in vectors.tolist()}
     assert {tuple(z) for z in whole[sums <= pruned[1] * (1 - 1e-9)].tolist()} <= kept
     assert kept <= {tuple(z) for z in whole[sums <= pruned[1] * (1 + 1e-9)].tolist()}
+    # _search maps, signs and norms its candidates _FRONTIER_ROWS rows at a
+    # time: the same ball, bit for bit, whatever the block
+    ball = minima._search(lat, "sum", pruned[1], DEFAULT_BUDGET)
+    for rows in (1, 3):
+        with monkeypatch.context() as m:
+            m.setattr(minima, "_FRONTIER_ROWS", rows)
+            blocked = minima._search(lat, "sum", pruned[1], DEFAULT_BUDGET)
+        assert list(map(float.hex, blocked.values)) == list(map(float.hex, ball.values))
+        assert np.array_equal(blocked.zs, ball.zs)
+        assert blocked.nodes == ball.nodes
+
+
+def test_search_post_processes_candidates_in_place(monkeypatch):
+    # once the enumeration returns, mapping, signing and norming the 38,590
+    # candidates allocates less than the candidates themselves take
+    import tracemalloc
+
+    from hermlat.transference import random_bundle
+
+    lat = restrict_scalars(random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1)))
+    bound = 2.2 * minima.aggregate(lat.exact_norms(minima._reduce(lat)[0].T), "sup").max()
+    enumerate_whole, seen = minima.enumerate_ellipsoid, {}
+
+    def enumerate_then_reset(*args):
+        xs, nodes = enumerate_whole(*args)
+        seen.update(count=len(xs), nbytes=xs.nbytes, traced=tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return xs, nodes
+
+    monkeypatch.setattr(minima, "enumerate_ellipsoid", enumerate_then_reset)
+    tracemalloc.start()
+    try:
+        minima._search(lat, "sup", bound, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen["count"] == 38_590
+    assert peak - seen["traced"] < seen["nbytes"]
 
 
 @pytest.mark.parametrize("name", [*shipped_field_names(), "zeta7"])
