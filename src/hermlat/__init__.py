@@ -77,7 +77,6 @@ _EXPORTS = {
         "successive_minima",
     ),
     "numberfield": (
-        "DEFAULT_PREC_BITS",
         "FieldElement",
         "FieldError",
         "NumberField",

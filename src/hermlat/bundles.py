@@ -303,10 +303,7 @@ def stack_forms(
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise PrecisionError(
-            f"euclidean Gram of the {what} is not positive definite; "
-            "retry at higher embedding precision"
-        ) from None
+        raise PrecisionError(f"the float64 forms of the {what} are not positive definite") from None
     return np.stack(forms), gram
 
 

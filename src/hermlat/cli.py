@@ -2,12 +2,15 @@
 
 Subcommands: field, minima, check, fuzz, bounds.  All output is
 self-describing structured text with a version field and the effective
-configuration in the header; identical (fixture, seed, precision) runs
-produce byte-identical output.
+configuration in the header; identical (fixture, seed) runs produce
+byte-identical output.  The header's ``precision`` is the number of bits
+at which the field's roots were certified (the largest over the fields for
+fuzz); ``build_field`` picks it.
 
 Exit codes: 0 all checks passed (or report-only command succeeded),
 1 usage or fixture parse error, 2 at least one check failed,
-3 uncertified result or exhausted budget.
+3 uncertified result, exhausted budget, or float64 lattice forms that are
+not positive definite.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .duality import (
 from .fixtures import FixtureError, load_bundle, load_field, load_invariants
 from .heights import height_limit, height_lower_bounds, height_upper_bounds
 from .minima import DEFAULT_BUDGET, BudgetExhausted, successive_minima
-from .numberfield import DEFAULT_PREC_BITS, FieldError, duality_gap_constant, trace_gram
+from .numberfield import FieldError, duality_gap_constant, trace_gram
 from .reports import fmt, fmt_vec, render_documents, render_header, render_report
 from .transference import DECLARED, BundleChecks, fuzz
 
@@ -38,13 +41,6 @@ EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNCERTIFIED = 3
-
-PRECISION_HELP = (
-    "bits p of the root refinement: it runs at max(30, floor(0.35 p) + 25) digits and "
-    "certifies each root's residual and separation at 2^-p; the float embeddings do not "
-    "change with it"
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -57,7 +53,6 @@ def _build_parser() -> _Parser:
 
     def common(sp, fixture_help):
         sp.add_argument("--fixture", required=True, help=fixture_help)
-        sp.add_argument("--precision", type=int, default=DEFAULT_PREC_BITS, help=PRECISION_HELP)
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     sp = sub.add_parser("field", help="inspect a field fixture")
@@ -90,7 +85,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PREC_BITS, help=PRECISION_HELP)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("bounds", help="evaluate the explicit height-bound formulas")
@@ -129,13 +123,13 @@ def _emit(text: str, out: str | None):
 def _cmd_field(args) -> int:
     if args.cn_max < 1:
         raise ValueError(f"--cn-max must be at least 1, got {args.cn_max}")
-    nf = load_field(args.fixture, args.precision)
+    nf = load_field(args.fixture)
     tm = trace_module(nf)
     header = render_header(
         "field",
         [
             ("fixture", str(args.fixture)),
-            ("precision", str(args.precision)),
+            ("precision", str(nf.prec_bits)),
         ],
     )
     doc = [
@@ -166,7 +160,7 @@ def _cmd_field(args) -> int:
 def _cmd_minima(args) -> int:
     from .bundles import restrict_scalars
 
-    bundle = load_bundle(args.fixture, args.precision)
+    bundle = load_bundle(args.fixture)
     lattice = restrict_scalars(bundle)
     profile = successive_minima(lattice, args.k, args.mode, args.norm, args.budget)
     header = render_header(
@@ -177,7 +171,7 @@ def _cmd_minima(args) -> int:
             ("mode", args.mode),
             ("norm", args.norm),
             ("budget", str(args.budget)),
-            ("precision", str(args.precision)),
+            ("precision", str(bundle.nf.prec_bits)),
         ],
     )
     doc = []
@@ -199,7 +193,7 @@ def _cmd_check(args) -> int:
         )
     if args.slack is not None and not math.isfinite(args.slack):
         raise ValueError(f"--slack must be finite, got {args.slack}")
-    bundle = load_bundle(args.fixture, args.precision)
+    bundle = load_bundle(args.fixture)
     ctx = BundleChecks(bundle, args.budget, selected)
     kw = {} if args.slack is None else {"slack": args.slack}
     reports = []
@@ -216,7 +210,7 @@ def _cmd_check(args) -> int:
             ("k", "all" if args.k is None else str(args.k)),
             ("slack", "default" if args.slack is None else fmt(args.slack)),
             ("budget", str(args.budget)),
-            ("precision", str(args.precision)),
+            ("precision", str(bundle.nf.prec_bits)),
         ],
     )
     _emit(render_documents(header, docs), args.out)
@@ -224,7 +218,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    fields = [load_field(p, args.precision) for p in _list_flag("--fields", args.fields)]
+    fields = [load_field(p) for p in _list_flag("--fields", args.fields)]
     reports = fuzz(fields, args.rank_max, args.trials, args.seed, args.budget)
     header = render_header(
         "fuzz",
@@ -234,7 +228,7 @@ def _cmd_fuzz(args) -> int:
             ("trials", str(args.trials)),
             ("seed", str(args.seed)),
             ("budget", str(args.budget)),
-            ("precision", str(args.precision)),
+            ("precision", str(max(nf.prec_bits for nf in fields))),
         ],
     )
     counts = Counter(rep.verdict for rep in reports)
@@ -308,10 +302,10 @@ def main(argv=None) -> int:
     except (FixtureError, FieldError, BundleError, OSError, ValueError) as e:
         sys.stderr.write(f"hermlat: {e}\n")
         return EXIT_USAGE
-    except BudgetExhausted as e:
+    except (BudgetExhausted, PrecisionError) as e:
         sys.stderr.write(f"hermlat: {e}\n")
         return EXIT_UNCERTIFIED
-    except (PrecisionError, DualityError) as e:
+    except DualityError as e:
         sys.stderr.write(f"hermlat: {e}\n")
         return EXIT_FAIL
 

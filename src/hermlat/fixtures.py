@@ -29,7 +29,7 @@ import numpy as np
 
 from .bundles import HermitianBundle, make_bundle
 from .heights import CurveInvariants
-from .numberfield import DEFAULT_PREC_BITS, FieldError, NumberField, build_field
+from .numberfield import FieldError, NumberField, build_field
 
 
 class FixtureError(ValueError):
@@ -69,7 +69,7 @@ def _json_number(value, what: str) -> float:
         raise FixtureError(f"{what} must be finite") from None
 
 
-def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
+def parse_field_fixture(obj: dict) -> NumberField:
     _require_keys(obj, {"poly", "basis", "expected_disc"}, {"poly"}, "field fixture")
     poly = obj["poly"]
     if not isinstance(poly, list) or not all(_is_json_int(c) for c in poly):
@@ -83,7 +83,7 @@ def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> Number
     expected = obj.get("expected_disc")
     if expected is not None and not _is_json_int(expected):
         raise FixtureError(f"field fixture: expected_disc must be an integer, got {expected!r}")
-    nf = build_field(poly, integral_basis=basis, prec_bits=prec_bits)
+    nf = build_field(poly, integral_basis=basis)
     if expected is not None and expected != nf.discriminant:
         raise FixtureError(
             f"field fixture: expected_disc {expected} != computed {nf.discriminant}"
@@ -91,25 +91,23 @@ def parse_field_fixture(obj: dict, prec_bits: int = DEFAULT_PREC_BITS) -> Number
     return nf
 
 
-def load_field(path: str | Path, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
+def load_field(path: str | Path) -> NumberField:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise FixtureError(f"{path}: field fixture must be a JSON object")
-    return parse_field_fixture(obj, prec_bits)
+    return parse_field_fixture(obj)
 
 
-def parse_bundle_fixture(
-    obj: dict, base_dir: Path | None = None, prec_bits: int = DEFAULT_PREC_BITS
-) -> HermitianBundle:
+def parse_bundle_fixture(obj: dict, base_dir: Path | None = None) -> HermitianBundle:
     _require_keys(obj, {"field", "rank", "grams"}, {"field", "rank", "grams"}, "bundle fixture")
     fld = obj["field"]
     if isinstance(fld, str):
         path = Path(fld)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        nf = load_field(path, prec_bits)
+        nf = load_field(path)
     elif isinstance(fld, dict):
-        nf = parse_field_fixture(fld, prec_bits)
+        nf = parse_field_fixture(fld)
     else:
         raise FixtureError("bundle fixture: field must be an object or a path string")
     rank = obj["rank"]
@@ -140,11 +138,11 @@ def parse_bundle_fixture(
     return make_bundle(nf, rank, grams)
 
 
-def load_bundle(path: str | Path, prec_bits: int = DEFAULT_PREC_BITS) -> HermitianBundle:
+def load_bundle(path: str | Path) -> HermitianBundle:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise FixtureError(f"{path}: bundle fixture must be a JSON object")
-    return parse_bundle_fixture(obj, base_dir=Path(path).parent, prec_bits=prec_bits)
+    return parse_bundle_fixture(obj, base_dir=Path(path).parent)
 
 
 def load_invariants(path: str | Path) -> CurveInvariants:
@@ -203,27 +201,26 @@ _FIELD_DISCS = {
     "zeta5": 125,
 }
 
-_cache: dict[tuple[str, int], NumberField] = {}
+_cache: dict[str, NumberField] = {}
 
 
-def shipped_field(name: str, prec_bits: int = DEFAULT_PREC_BITS) -> NumberField:
+def shipped_field(name: str) -> NumberField:
     if name not in _FIELD_POLYS:
         raise KeyError(f"unknown shipped field {name!r}; have {sorted(_FIELD_POLYS)}")
-    key = (name, prec_bits)
-    if key not in _cache:
-        nf = build_field(_FIELD_POLYS[name], prec_bits=prec_bits)
+    if name not in _cache:
+        nf = build_field(_FIELD_POLYS[name])
         if nf.discriminant != _FIELD_DISCS[name]:
             raise FieldError(
                 f"shipped field {name!r}: discriminant {nf.discriminant} != {_FIELD_DISCS[name]}"
             )
-        _cache[key] = nf
-    return _cache[key]
+        _cache[name] = nf
+    return _cache[name]
 
 
 def shipped_field_names() -> list[str]:
     return list(_FIELD_POLYS)
 
 
-def fuzz_corpus_fields(prec_bits: int = DEFAULT_PREC_BITS) -> list[NumberField]:
+def fuzz_corpus_fields() -> list[NumberField]:
     """The four fields of the randomized acceptance corpus."""
-    return [shipped_field(n, prec_bits) for n in ("q", "gaussian", "sqrt2", "sqrt_minus3")]
+    return [shipped_field(n) for n in ("q", "gaussian", "sqrt2", "sqrt_minus3")]

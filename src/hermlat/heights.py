@@ -21,6 +21,9 @@ from typing import Union
 
 Number = Union[int, float, Fraction]
 
+# largest deviation from the limit that asymptotic_consistency accepts at d = 10^8
+CONVERGENCE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CurveInvariants:
@@ -154,14 +157,14 @@ class AsymptoticReport:
     converged: bool
 
 
-def asymptotic_consistency(inv: CurveInvariants, tol: float = 1e-6) -> AsymptoticReport:
+def asymptotic_consistency(inv: CurveInvariants) -> AsymptoticReport:
     """Both bound families must straddle and converge to the common limit.
 
     On the grid d = 10^1 .. 10^8: with zero discriminant term and zero
     residual constant, every lower bound must sit below every upper bound
     (checked pointwise for d >= 2g+1; ValueError otherwise), both families
     must converge to omega_sq / (4(g-1)) with deviation <= fitted_k / d,
-    and the deviation at d = 10^8 must be below tol.
+    and the deviation at d = 10^8 must be below CONVERGENCE_TOL.
     """
     g = inv.g
     limit = float(height_limit(inv.omega_sq, 2 * g - 2))
@@ -181,7 +184,7 @@ def asymptotic_consistency(inv: CurveInvariants, tol: float = 1e-6) -> Asymptoti
             )
         for v in (lo, hi):
             fitted_k = max(fitted_k, d * abs(v - limit))
-    converged = abs(lows[-1] - limit) <= tol and abs(ups[-1] - limit) <= tol
+    converged = all(abs(v - limit) <= CONVERGENCE_TOL for v in (lows[-1], ups[-1]))
     return AsymptoticReport(
         limit=limit,
         grid=grid,

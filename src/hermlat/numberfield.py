@@ -8,12 +8,13 @@ f and its number of real roots are decided in exact integer arithmetic: a
 distinct-degree factorisation modulo small primes certifies irreducibility
 (sympy's exact test decides only the polynomials it leaves open), and a
 Sturm sequence counts the real roots.  The embeddings are the roots of f,
-seeded by ``numpy.roots``, refined together in ``decimal`` to a precision
-set by ``prec_bits`` and certified there (``_compute_embeddings``, which
-also gives the rule that sets a real part below the certified bound to
-exactly 0).  The refined roots are kept on the field as Decimals, and the
-lattice code reads them rounded to machine complex numbers, which do not
-change with ``prec_bits``.
+seeded by ``numpy.roots``, refined together in ``decimal`` and certified
+at a precision of ``prec_bits`` bits (``_compute_embeddings``, which also
+gives the rule that sets a real part below the certified bound to exactly
+0).  ``build_field`` tries 64 bits first and doubles the precision up to
+4,096 bits until the roots certify.  The refined roots are kept on the
+field as Decimals, and the lattice code reads them rounded to machine
+complex numbers, which do not change with the precision.
 
 All constructed objects are immutable after ``build_field`` returns and are
 safe for unrestricted concurrent reads.
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import exactlinalg as xl
 
-DEFAULT_PREC_BITS = 64
+# precisions build_field tries in turn, keeping the first that certifies
+_PREC_BITS = (64, 128, 256, 512, 1024, 2048, 4096)
 # Weierstrass steps of the root refinement before its certification decides
 _MAX_STEPS = 100
 
@@ -139,7 +141,7 @@ class NumberField:
     signature: tuple[int, int]
     embeddings: tuple[complex, ...] = field(repr=False)
     conj_index: tuple[int, ...] = field(repr=False)
-    prec_bits: int
+    prec_bits: int  # the precision that certified the roots
     power_basis_order: bool  # True when the order is Z[theta], maximality unverified
     _power_sums: tuple[Fraction, ...] = field(repr=False)
     _embeddings_hp: tuple[tuple[Decimal, Decimal], ...] = field(repr=False)  # refined (re, im)
@@ -550,22 +552,20 @@ def _compute_embeddings(coeffs: Sequence[int], prec_bits: int):
     return embeddings, tuple(embeddings_hp), tuple(conj_index), (n_real, len(pos))
 
 
-def build_field(
-    poly: Sequence[int],
-    integral_basis: Sequence[Sequence] | None = None,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> NumberField:
+def build_field(poly: Sequence[int], integral_basis: Sequence[Sequence] | None = None) -> NumberField:
     """Construct a number field from a monic integral polynomial.
 
     ``poly`` lists coefficients constant term first.  When ``integral_basis``
     is omitted the power basis Z[theta] is used and the resulting order may be
     non-maximal (flagged on the field).  A supplied basis is given row-wise,
     each row the power-basis coordinates of one basis element; it must contain
-    Z[theta] and have exact integral trace pairings.  ``prec_bits`` must be
-    at least 1.
+    Z[theta] and have exact integral trace pairings.
+
+    The roots are certified at the first of 64, 128, ..., 4,096 bits at
+    which ``_compute_embeddings`` succeeds, recorded as ``prec_bits``.  For
+    an irreducible f Mahler's root-separation bound guarantees that some
+    finite precision does; past 4,096 bits the last FieldError is raised.
     """
-    if prec_bits < 1:
-        raise FieldError(f"precision must be at least 1 bit (prec_bits >= 1), got {prec_bits}")
     coeffs = [int(c) for c in poly]
     if len(coeffs) < 2:
         raise FieldError("defining polynomial must have degree >= 1")
@@ -578,7 +578,14 @@ def build_field(
 
     power_sums = tuple(_power_sums(coeffs, max(2 * r - 2, 1)))
 
-    embeddings, embeddings_hp, conj_index, signature = _compute_embeddings(coeffs, prec_bits)
+    for prec_bits in _PREC_BITS:
+        try:
+            embeddings, embeddings_hp, conj_index, signature = _compute_embeddings(coeffs, prec_bits)
+        except FieldError:
+            if prec_bits == _PREC_BITS[-1]:
+                raise
+        else:
+            break
     if signature[0] + 2 * signature[1] != r:
         raise FieldError("signature does not match the degree")
 

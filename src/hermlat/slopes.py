@@ -33,6 +33,11 @@ from .minima import DEFAULT_BUDGET, successive_minima
 from .numberfield import NumberField
 from .transference import TheoremReport, _verdict, bundle_digest
 
+# how far mu_k + sigma_k may fall below 0, and sigma_k + sigma_(N+1-k) of
+# the dual may stray from 0, before the slope checks fail
+MINIMA_SLOPE_SLACK = 1e-9
+SLOPE_DUALITY_SLACK = 1e-10
+
 
 class NotDiagonalError(BundleError):
     """Slope operations only accept diagonal bundles."""
@@ -117,7 +122,7 @@ def dual_diagonal(diag: DiagonalBundle) -> DiagonalBundle:
     return diagonal_bundle(diag.nf, [[1.0 / t for t in line] for line in diag.line_scales])
 
 
-def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT_BUDGET, slack: float = 1e-9) -> TheoremReport:
+def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Minima/slope comparison on a diagonal bundle: mu_k + sigma_k >= 0."""
     if not 1 <= k <= diag.rank:
         raise ValueError("k out of range")
@@ -129,12 +134,12 @@ def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT
         statement=f"minima-slope[k={k}]",
         digest=bundle_digest(diag.bundle),
         quantities=(("mu_k", mu_k), ("sigma_k", sigma_k), ("sum", total)),
-        slack=slack,
-        verdict=_verdict(prof.certified, total >= -slack),
+        slack=MINIMA_SLOPE_SLACK,
+        verdict=_verdict(prof.certified, total >= -MINIMA_SLOPE_SLACK),
     )
 
 
-def check_slope_duality(diag: DiagonalBundle, k: int, slack: float = 1e-10) -> TheoremReport:
+def check_slope_duality(diag: DiagonalBundle, k: int) -> TheoremReport:
     """sigma_k of the bundle plus sigma_(N+1-k) of its dual vanishes."""
     if not 1 <= k <= diag.rank:
         raise ValueError("k out of range")
@@ -145,6 +150,6 @@ def check_slope_duality(diag: DiagonalBundle, k: int, slack: float = 1e-10) -> T
         statement=f"slope-duality[k={k}]",
         digest=bundle_digest(diag.bundle),
         quantities=(("sigma_k", sigma_k), ("sigma_dual_N+1-k", sigma_dual), ("sum", total)),
-        slack=slack,
-        verdict=_verdict(True, abs(total) <= slack),
+        slack=SLOPE_DUALITY_SLACK,
+        verdict=_verdict(True, abs(total) <= SLOPE_DUALITY_SLACK),
     )

@@ -441,8 +441,6 @@ def _poly_str(nf: NumberField) -> str:
 def _gram_dump(bundle: HermitianBundle) -> str:
     parts = []
     for s, g in enumerate(bundle.grams):
-        flat = ";".join(
-            f"{z.real:.12e},{z.imag:.12e}" for z in np.asarray(g, dtype=complex).ravel()
-        )
+        flat = ";".join(f"{z.real!r},{z.imag!r}" for z in np.asarray(g, dtype=complex).ravel().tolist())
         parts.append(f"{s}:{flat}")
     return "|".join(parts)

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import shutil
+import subprocess
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -62,6 +64,17 @@ def test_golden(name):
     assert code == 0, err
     expected = (GOLDEN / name).read_text()
     assert _normalize(out) == _normalize(expected)
+
+
+@pytest.mark.skipif(shutil.which("hermlat") is None, reason="no installed hermlat console script")
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_installed_console_script(name):
+    # the [project.scripts] entry point, which the in-process tests never run
+    done = subprocess.run(
+        [shutil.which("hermlat"), *GOLDEN_CASES[name]], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert _normalize(done.stdout) == _normalize((GOLDEN / name).read_text())
 
 
 @pytest.mark.parametrize("name", ["check_gaussian_rank1.txt", "fuzz_small.txt"])
@@ -173,11 +186,29 @@ def test_every_shipped_fixture_loads():
         assert load(path) is not None
 
 
-@pytest.mark.parametrize("bits", ["0", "-3"])
-def test_precision_below_one_bit_is_a_usage_error(bits):
-    code, out, err = run_cli(["field", "--fixture", str(FIXDIR / "field_gaussian.json"), "--precision", bits])
+@pytest.mark.parametrize(
+    "name", ["field_q.txt", "minima_diag.txt", "check_gaussian_rank1.txt", "fuzz_small.txt", "bounds_g2.txt"]
+)
+def test_precision_is_not_an_option(name):
+    # build_field picks the precision that certifies the roots
+    code, out, err = run_cli([*GOLDEN_CASES[name], "--precision", "64"])
     assert code == 1 and out == ""
-    assert err == f"hermlat: precision must be at least 1 bit (prec_bits >= 1), got {bits}\n"
+    assert err.endswith("error: unrecognized arguments: --precision 64\n")
+
+
+def test_forms_not_positive_definite_are_uncertified(tmp_path):
+    # Mignotte's x^6 - 2 (10^5 x - 1)^2 certifies its roots at 128 bits, but
+    # two of them lie 1.4e-20 apart, so the float64 forms are singular
+    (tmp_path / "field.json").write_text(json.dumps({"poly": [-2, 400000, -20000000000, 0, 0, 0, 1]}))
+    grams = {str(s): [[[1.0, 0.0]]] for s in range(6)}
+    (tmp_path / "bundle.json").write_text(json.dumps({"field": "field.json", "rank": 1, "grams": grams}))
+    for argv, what in [
+        (["field", "--fixture", str(tmp_path / "field.json")], "ideal lattice"),
+        (["check", "--fixture", str(tmp_path / "bundle.json")], "restricted lattice"),
+    ]:
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, ""), err
+        assert err == f"hermlat: the float64 forms of the {what} are not positive definite\n"
 
 
 def test_check_failure_exit_code():

@@ -153,8 +153,7 @@ import json, sys
 from hermlat import cli
 from hermlat.fixtures import shipped_field, shipped_field_names
 for name in shipped_field_names():
-    for bits in (64, 256):
-        shipped_field(name, bits)
+    shipped_field(name)
 code = cli.main(["check", "--fixture", "fixtures/bundle_gaussian_rank1.json", "--statement", "all"])
 print(json.dumps({"code": code, "sympy": "sympy" in sys.modules, "mpmath": "mpmath" in sys.modules}))
 """
@@ -234,10 +233,12 @@ PINNED_EMBEDDINGS = json.loads((ROOT / "tests" / "golden" / "embeddings.json").r
 @pytest.mark.parametrize("name", PINNED_EMBEDDINGS)
 def test_embeddings_pinned(name, bits):
     pinned = PINNED_EMBEDDINGS[name]
-    nf = build_field(pinned["poly"], prec_bits=bits)
-    assert [[z.real.hex(), z.imag.hex()] for z in nf.embeddings] == pinned["embeddings"]
-    assert list(nf.conj_index) == pinned["conj_index"]
-    assert list(nf.signature) == pinned["signature"]
+    embeddings, _, conj_index, signature = numberfield._compute_embeddings(pinned["poly"], bits)
+    assert [[z.real.hex(), z.imag.hex()] for z in embeddings] == pinned["embeddings"]
+    assert list(conj_index) == pinned["conj_index"]
+    assert list(signature) == pinned["signature"]
+    nf = build_field(pinned["poly"])
+    assert (nf.embeddings, nf.conj_index, nf.signature) == (embeddings, conj_index, signature)
 
 
 def _random_irreducible(count: int, seed: int) -> list[list[int]]:
@@ -280,63 +281,79 @@ def _reference_roots(poly: tuple[int, ...]) -> list:
 @pytest.mark.parametrize("bits", [64, 256])
 def test_embeddings_match_high_precision_reference(bits):
     for poly in RANDOM_POLYS:
-        nf = build_field(poly, prec_bits=bits)
+        embeddings, _, conj_index, signature = numberfield._compute_embeddings(poly, bits)
         reference = _reference_roots(tuple(poly))
         # correctly rounded doubles of the 100-digit roots
         expected = [complex(float(z.real), float(z.imag)) for z in reference]
-        assert [(z.real.hex(), z.imag.hex()) for z in nf.embeddings] == [
+        assert [(z.real.hex(), z.imag.hex()) for z in embeddings] == [
             (z.real.hex(), z.imag.hex()) for z in expected
         ], poly
+        degree = len(poly) - 1
         n_real = sum(1 for z in expected if z.imag == 0)
-        assert nf.signature == (n_real, (nf.degree - n_real) // 2), poly
-        assert nf.conj_index == tuple(
-            s if s < n_real else s + 1 - 2 * ((s - n_real) % 2) for s in range(nf.degree)
+        assert signature == (n_real, (degree - n_real) // 2), poly
+        assert conj_index == tuple(
+            s if s < n_real else s + 1 - 2 * ((s - n_real) % 2) for s in range(degree)
         ), poly
+        nf = build_field(poly)
+        assert (nf.embeddings, nf.conj_index, nf.signature) == (embeddings, conj_index, signature)
 
 
 @pytest.mark.parametrize("bits", [64, 256])
 def test_refined_roots_match_high_precision_reference(bits):
     # the refined roots, kept on the field as Decimals, to 2^-bits
     for poly in RANDOM_POLYS[:8]:
-        nf = build_field(poly, prec_bits=bits)
+        embeddings, embeddings_hp, _, _ = numberfield._compute_embeddings(poly, bits)
         with mpmath.workdps(100):
             for s, want in enumerate(_reference_roots(tuple(poly))):
-                re, im = nf._embeddings_hp[s]
+                re, im = embeddings_hp[s]
                 got = mpmath.mpc(str(re), str(im))
                 assert abs(got - want) <= mpmath.mpf(2) ** -bits * (1 + abs(want)), (poly, s)
+        assert build_field(poly).embeddings == embeddings
 
 
 def test_zero_rule():
     # the purely imaginary roots of the even x^4 - 2 and x^2 + 49 get real part +0.0
     assert [z.real.hex() for z in build_field([-2, 0, 0, 0, 1]).embeddings[2:]] == ["0x0.0p+0"] * 2
-    assert build_field([49, 0, 1], prec_bits=4).embeddings[0].real.hex() == "0x0.0p+0"
+    embeddings = numberfield._compute_embeddings([49, 0, 1], 4)[0]
+    assert embeddings[0].real.hex() == "0x0.0p+0"
+    assert build_field([49, 0, 1]).embeddings == embeddings
     # x^2 + x + 49 is not even, so no root has real part 0; at 4 bits its real
-    # part -1/2 lies within 2^-4 (1 + |z|) = 1/2 of 0
+    # part -1/2 lies within 2^-4 (1 + |z|) = 1/2 of 0, at 64 bits it does not
     with pytest.raises(FieldError, match="real part"):
-        build_field([49, 1, 1], prec_bits=4)
+        numberfield._compute_embeddings([49, 1, 1], 4)
+    assert build_field([49, 1, 1]).embeddings[0].real == -0.5
 
 
-@pytest.mark.parametrize("bits", [0, -1])
-def test_prec_bits_below_one_rejected(bits):
-    with pytest.raises(FieldError, match=r"prec_bits >= 1"):
-        build_field([1, 0, 1], prec_bits=bits)
+# Mignotte's x^6 - 2 (10^5 x - 1)^2: two real roots near 10^-5 lie 1.4e-20
+# apart, closer than the 4 * 2^-64 (1 + |z|) that 64 bits can separate
+MIGNOTTE = [-2, 400000, -20000000000, 0, 0, 0, 1]
+
+
+def test_precision_rises_until_the_roots_certify():
+    with pytest.raises(FieldError, match="not separated at precision 64"):
+        numberfield._compute_embeddings(MIGNOTTE, 64)
+    nf = build_field(MIGNOTTE)
+    assert nf.prec_bits == 128
+    assert nf.embeddings == numberfield._compute_embeddings(MIGNOTTE, 256)[0]
+    assert build_field([1, 0, 1]).prec_bits == 64
 
 
 def test_root_certificates(monkeypatch):
     # two roots on one point fail the separation check, a point off the
-    # roots fails the residual check, and coincident seeds stop the refinement
+    # roots fails the residual check, and coincident seeds stop the
+    # refinement; at every precision, so build_field gives up at 4,096 bits
     one = (Decimal(0), Decimal(1))
     monkeypatch.setattr(numberfield, "_refine_roots", lambda coeffs, digits: [one, one])
-    with pytest.raises(FieldError, match="not separated"):
+    with pytest.raises(FieldError, match="not separated at precision 4096$"):
         build_field([1, 0, 1])
     monkeypatch.setattr(
         numberfield, "_refine_roots", lambda coeffs, digits: [(Decimal(0), Decimal("1.001")), one]
     )
-    with pytest.raises(FieldError, match="residual"):
+    with pytest.raises(FieldError, match="residual .* at precision 4096$"):
         build_field([1, 0, 1])
     monkeypatch.undo()
     monkeypatch.setattr(numberfield.np, "roots", lambda coeffs: np.array([1j, 1j]))
-    with pytest.raises(FieldError, match="not separated"):
+    with pytest.raises(FieldError, match="not separated at precision 4096$"):
         build_field([1, 0, 1])
 
 

@@ -40,7 +40,7 @@ EXPORTS = {
         "successive_minima",
     ),
     "numberfield": (
-        "DEFAULT_PREC_BITS", "FieldElement", "FieldError", "NumberField", "build_field",
+        "FieldElement", "FieldError", "NumberField", "build_field",
         "duality_gap_constant", "trace_gram",
     ),
     "slopes": (

@@ -280,6 +280,31 @@ def test_fuzz_deterministic(field_q, field_qi):
     assert ta != tc
 
 
+def test_fuzz_gram_dump_rebuilds_the_trial(field_zeta5):
+    # zeta5's chain link L3 fails, so its reports carry the reproduction data;
+    # the dumped Grams must be the drawn ones, bit for bit
+    reports = fuzz([field_zeta5], 1, 3, seed=1)
+    failed = [rep for rep in reports if rep.verdict == "fail"]
+    assert len(failed) == 3
+    rng = np.random.default_rng(1)
+    drawn = []
+    for _ in range(3):
+        rank = int(rng.integers(1, 2))
+        drawn.append(random_bundle(field_zeta5, rank, rng))
+    for rep in failed:
+        lines = render_report(rep)
+        trial = int(next(ln for ln in lines if ln.startswith("repro trial: ")).split(": ")[1])
+        dump = next(ln for ln in lines if ln.startswith("repro gram_dump: ")).split(": ")[1]
+        for s, part in enumerate(dump.split("|")):
+            index, _, flat = part.partition(":")
+            assert int(index) == s
+            values = [complex(float(re), float(im)) for re, im in (z.split(",") for z in flat.split(";"))]
+            gram = np.asarray(drawn[trial].grams[s], dtype=complex).ravel()
+            assert [(z.real.hex(), z.imag.hex()) for z in values] == [
+                (z.real.hex(), z.imag.hex()) for z in gram.tolist()
+            ]
+
+
 def test_fuzz_all_pass(field_sqrt_minus3):
     reports = fuzz([field_sqrt_minus3], 2, 10, seed=5)
     assert reports and all(r.verdict == "pass" for r in reports)
