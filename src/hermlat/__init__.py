@@ -105,7 +105,6 @@ _EXPORTS = {
         "check_index_comparison",
         "check_proof_chain",
         "check_sandwich",
-        "dual_minima_comparison",
         "fuzz",
     ),
 }

@@ -16,7 +16,6 @@ not positive definite.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -74,8 +73,6 @@ def _build_parser() -> _Parser:
         default="all",
     )
     sp.add_argument("--k", type=int, default=None, help="single index; default sweeps all valid k")
-    sp.add_argument("--slack", type=float, default=None,
-                    help="override the declared slack (not for chain or all: the chain's links keep theirs)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("fuzz", help="seeded randomized sweep of all checkers")
@@ -186,20 +183,12 @@ def _cmd_minima(args) -> int:
 
 def _cmd_check(args) -> int:
     selected = {name: st for name, st in DECLARED.items() if args.statement in (name, "all")}
-    fixed = [name for name, (_, _, slack, _) in selected.items() if slack is None]
-    if fixed and args.slack is not None:
-        raise ValueError(
-            f"--slack does not apply to {args.statement}: the {fixed[0]}'s links keep their declared slacks"
-        )
-    if args.slack is not None and not math.isfinite(args.slack):
-        raise ValueError(f"--slack must be finite, got {args.slack}")
     bundle = load_bundle(args.fixture)
     ctx = BundleChecks(bundle, args.budget, selected)
-    kw = {} if args.slack is None else {"slack": args.slack}
     reports = []
-    for check, indices, *_ in selected.values():
+    for check, indices, _ in selected.values():
         ks = indices(bundle.rank, bundle.nf.degree) if args.k is None else [args.k]
-        reports += [check(ctx, k, **kw) for k in ks]
+        reports += [check(ctx, k) for k in ks]
     docs = [render_report(rep) for rep in reports]
 
     header = render_header(
@@ -208,7 +197,6 @@ def _cmd_check(args) -> int:
             ("fixture", str(args.fixture)),
             ("statement", args.statement),
             ("k", "all" if args.k is None else str(args.k)),
-            ("slack", "default" if args.slack is None else fmt(args.slack)),
             ("budget", str(args.budget)),
             ("precision", str(bundle.nf.prec_bits)),
         ],

@@ -3,13 +3,16 @@
 Each checker computes both sides of one inequality from certified minima
 and returns a TheoremReport, as do the slope checkers of ``hermlat.slopes``:
 one report type, rendered one way, carries every verdict.  A report passes
-only when every inequality holds within its declared slack AND every minima
-computation certified; uncertified minima can never produce a pass.
+only when every inequality holds within its slack AND every minima
+computation it reads certified; uncertified minima can never produce a
+pass.  Each link of the proof chain is certified by the profiles and the
+transfer-vector search it reads.
 
-Slack policy: 1e-6 for statements whose bound involves transcendental
-constants, 1e-9 for purely structural comparisons.  ``DECLARED`` holds
-one entry per statement: its checker, valid indices k, slack and the
-minima profiles it reads.  The checkers take their k range and slack from
+Slack policy: ``SLACK_ANALYTIC`` (1e-6) for statements whose bound
+involves transcendental constants, ``SLACK_STRUCTURAL`` (1e-9) for purely
+structural comparisons; each checker and chain link uses its own.
+``DECLARED`` holds one entry per statement: its checker, valid indices k
+and the minima profiles it reads.  The checkers take their k range from
 it, ``BundleChecks`` the reads, and ``check_all`` and the command line the
 statements they sweep.
 """
@@ -25,12 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bundles import HermitianBundle, random_bundle, restrict_scalars
-from .duality import (
-    minkowski_codifferent_bound,
-    minkowski_codifferent_vector,
-    trace_dual,
-    transfer_vector,
-)
+from .duality import minkowski_codifferent_bound, trace_dual, transfer_vector
 from .minima import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -74,8 +72,8 @@ def _verdict(certified: bool, holds: bool) -> str:
 
 
 def _value(profile: MinimaProfile, idx: int) -> float:
-    """Profile value, NaN when a partial profile is too short."""
-    return profile.values[idx] if idx < len(profile.values) else math.nan
+    """Profile value; NaN exactly when the profile is uncertified."""
+    return profile.values[idx] if profile.certified else math.nan
 
 
 def _witness(profile: MinimaProfile, idx: int) -> tuple[int, ...]:
@@ -126,7 +124,7 @@ class BundleChecks:
         self._profiles: dict[str, MinimaProfile] = {}
         self._memo: dict = {}
         names = DECLARED if statements is None else statements
-        reads = {key for name in names for key in DECLARED[name][3]}
+        reads = {key for name in names for key in DECLARED[name][2]}
         self._lambda_first = {"mu", "lambda"} <= reads
 
     @cached_property
@@ -158,38 +156,32 @@ class BundleChecks:
 
     def transfer(self) -> tuple:
         """The field's transfer vector and its sup log-norm; (None, NaN) past the budget."""
-        return _searched(transfer_vector, self.nf, self.budget)
+        try:
+            return transfer_vector(self.nf, self.budget)
+        except BudgetExhausted:
+            return None, math.nan
 
 
-def _searched(search, nf: NumberField, budget: int) -> tuple:
-    """A field vector search's (vector, log-norm), or (None, NaN) past the budget."""
-    try:
-        return search(nf, budget)
-    except BudgetExhausted:
-        return None, math.nan
-
-
-def _prepare(name: str, source, k: int, slack: float | None = None):
-    """The BundleChecks of ``source`` (a bundle or a BundleChecks) and the declared slack
-    of statement ``name`` unless overridden; ValueError for k outside its declared range."""
+def _prepare(name: str, source, k: int) -> BundleChecks:
+    """The BundleChecks of ``source`` (a bundle or a BundleChecks); ValueError
+    for k outside the declared range of statement ``name``."""
     ctx = source if isinstance(source, BundleChecks) else BundleChecks(source, statements=[name])
-    _, indices, declared, _ = DECLARED[name]
-    ks = indices(ctx.bundle.rank, ctx.nf.degree)
+    ks = DECLARED[name][1](ctx.bundle.rank, ctx.nf.degree)
     if k not in ks:
         raise ValueError(f"k={k} out of range for {name}: need {ks.start} <= k <= {ks.stop - 1}")
-    return ctx, declared if slack is None else slack
+    return ctx
 
 
-def check_sandwich(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
+def check_sandwich(bundle_or_checks, k: int) -> TheoremReport:
     """Sandwich 0 <= mu_k(E) + mu_(N+1-k)(E*) <= C(N, F)."""
-    ctx, slack = _prepare("sandwich", bundle_or_checks, k, slack)
+    ctx = _prepare("sandwich", bundle_or_checks, k)
     n = ctx.bundle.rank
     pe = ctx.profile("mu")
     pd = ctx.profile("mu_star")
     total = _value(pe, k - 1) + _value(pd, n - k)
     c = duality_gap_constant(n, ctx.nf)
     certified = pe.certified and pd.certified
-    holds = -slack <= total <= c + slack
+    holds = -SLACK_ANALYTIC <= total <= c + SLACK_ANALYTIC
     return TheoremReport(
         statement=f"sandwich[k={k}]",
         digest=ctx.digest,
@@ -199,7 +191,7 @@ def check_sandwich(bundle_or_checks, k: int, slack: float | None = None) -> Theo
             ("sum", total),
             ("gap_constant", c),
         ),
-        slack=slack,
+        slack=SLACK_ANALYTIC,
         verdict=_verdict(certified, holds),
         witnesses=(
             ("mu_k", _witness(pe, k - 1)),
@@ -208,13 +200,13 @@ def check_sandwich(bundle_or_checks, k: int, slack: float | None = None) -> Theo
     )
 
 
-def check_polar_transference(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
+def check_polar_transference(bundle_or_checks, k: int) -> TheoremReport:
     """Polar transference: lambda_k + lambda^v_(Nr+1-k) <= (3/2) log(Nr).
 
     The companion lower bound lambda_k + lambda^v_(Nr+1-k) >= 0 is recorded
     in the report but does not affect the verdict.
     """
-    ctx, slack = _prepare("polar", bundle_or_checks, k, slack)
+    ctx = _prepare("polar", bundle_or_checks, k)
     nr = ctx.bundle.rank * ctx.nf.degree
     pl = ctx.profile("lambda")
     pv = ctx.profile("lambda_vee")
@@ -223,7 +215,7 @@ def check_polar_transference(bundle_or_checks, k: int, slack: float | None = Non
     total = lam + lam_vee
     bound = 1.5 * math.log(nr)
     certified = pl.certified and pv.certified
-    holds = total <= bound + slack
+    holds = total <= bound + SLACK_ANALYTIC
     return TheoremReport(
         statement=f"polar[k={k}]",
         digest=ctx.digest,
@@ -234,7 +226,7 @@ def check_polar_transference(bundle_or_checks, k: int, slack: float | None = Non
             ("bound", bound),
             ("lower_companion", total),  # >= 0 expected, report-only
         ),
-        slack=slack,
+        slack=SLACK_ANALYTIC,
         verdict=_verdict(certified, holds),
         witnesses=(
             ("lambda_k", _witness(pl, k - 1)),
@@ -243,10 +235,10 @@ def check_polar_transference(bundle_or_checks, k: int, slack: float | None = Non
     )
 
 
-def check_index_comparison(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
+def check_index_comparison(bundle_or_checks, k: int) -> TheoremReport:
     """Index comparison mu_(k+1) <= lambda_(kr+1) between the two
     independence notions on the same sup-normed lattice."""
-    ctx, slack = _prepare("index", bundle_or_checks, k, slack)
+    ctx = _prepare("index", bundle_or_checks, k)
     pe = ctx.profile("mu")
     pl = ctx.profile("lambda")
     lhs = _value(pe, k)
@@ -256,8 +248,8 @@ def check_index_comparison(bundle_or_checks, k: int, slack: float | None = None)
         statement=f"index[k={k}]",
         digest=ctx.digest,
         quantities=(("mu_k+1", lhs), ("lambda_kr+1", rhs)),
-        slack=slack,
-        verdict=_verdict(certified, lhs <= rhs + slack),
+        slack=SLACK_STRUCTURAL,
+        verdict=_verdict(certified, lhs <= rhs + SLACK_STRUCTURAL),
         witnesses=(("mu_k+1", _witness(pe, k)),),
     )
 
@@ -275,9 +267,11 @@ def check_proof_chain(bundle_or_checks, k: int) -> TheoremReport:
             <= lambda_(kr) + lambda^v_(Nr-kr+1)               [index shift]
       L6  lambda_(kr) + lambda^v_(Nr-kr+1) <= (3/2)log(Nr)    [polar transference]
 
-    plus the assembled sandwich mu_k(E) + mu_(N+1-k)(E*) <= C(N,F).
+    plus the assembled sandwich mu_k(E) + mu_(N+1-k)(E*) <= C(N,F).  A link
+    is certified when the profiles and the transfer-vector search it reads
+    are, that is when neither side is NaN; the chain when all of them are.
     """
-    ctx, _ = _prepare("chain", bundle_or_checks, k)
+    ctx = _prepare("chain", bundle_or_checks, k)
     n, r = ctx.bundle.rank, ctx.nf.degree
     nr = n * r
     pe = ctx.profile("mu")
@@ -303,7 +297,7 @@ def check_proof_chain(bundle_or_checks, k: int) -> TheoremReport:
             digest=ctx.digest,
             quantities=(("lhs", lhs), ("rhs", rhs)),
             slack=slack,
-            verdict=_verdict(certified, lhs <= rhs + slack),
+            verdict=_verdict(not math.isnan(lhs + rhs), lhs <= rhs + slack),
         )
 
     links = (
@@ -328,71 +322,32 @@ def check_proof_chain(bundle_or_checks, k: int) -> TheoremReport:
         ),
         slack=SLACK_ANALYTIC,
         verdict=_verdict(certified, all_hold),
+        witnesses=(
+            ("mu_k", _witness(pe, k - 1)),
+            ("mu_star_N+1-k", _witness(ps, n - k)),
+            ("mu_vee_N+1-k", _witness(pw, n - k)),
+        ),
         links=links,
     )
 
 
-def dual_minima_comparison(bundle_or_checks, k: int, slack: float | None = None) -> TheoremReport:
-    """Check mu_k(E*) <= mu_k(E^v) + sup log|v| with the transfer vector.
-
-    The left side is the ``mu_star`` profile (dual bundle, inverse
-    metrics), the middle the ``mu_vee`` profile (trace-dual lattice with
-    the weighted alpha norms and F-independence), and v is the field's
-    transfer vector: the shortest vector of the inverse trace module in the
-    duality metric.  The codifferent Minkowski vector and its guaranteed
-    bound are reported alongside; the verdict does not read them, so a
-    Minkowski search that exhausts the budget reports nan and leaves the
-    verdict as it is.
-    """
-    ctx, slack = _prepare("dual-minima", bundle_or_checks, k, slack)
-    star = ctx.profile("mu_star")
-    dual = ctx.profile("mu_vee")
-    v, v_log = ctx.transfer()
-    _, mink_log = _searched(minkowski_codifferent_vector, ctx.nf, ctx.budget)
-    certified = star.certified and dual.certified and v is not None
-    lhs = _value(star, k - 1)
-    mid = _value(dual, k - 1)
-    return TheoremReport(
-        statement=f"dual-minima[k={k}]",
-        digest=ctx.digest,
-        quantities=(
-            ("mu_dual_bundle", lhs),  # mu_k of E* via the inverse metric
-            ("mu_trace_dual", mid),  # mu_k of E^v through the alpha identification
-            ("transfer_log_norm", v_log),  # sup log-norm of the transfer vector
-            ("minkowski_log_norm", mink_log),  # sup log-norm of the codifferent Minkowski vector
-            ("minkowski_bound", minkowski_codifferent_bound(ctx.nf)),  # (1/r)log|disc| - (r2/r)log(pi)
-        ),
-        slack=slack,
-        verdict=_verdict(certified, lhs <= mid + v_log + slack),
-        witnesses=(
-            ("mu_dual_bundle", _witness(star, k - 1)),
-            ("mu_trace_dual", _witness(dual, k - 1)),
-        ),
-    )
-
-
 # One entry per statement: (checker, valid k for a rank-N bundle over a
-# degree-r field, slack or None if fixed, the profiles the checker reads).
-# The reads decide whether BundleChecks computes lambda before mu, so they
-# must name exactly what the checker reads.
+# degree-r field, the profiles the checker reads).  The reads decide whether
+# BundleChecks computes lambda before mu, so they must name exactly what the
+# checker reads.
 DECLARED = {
-    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1), SLACK_ANALYTIC, ("mu", "mu_star")),
-    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1), SLACK_ANALYTIC,
-              ("lambda", "lambda_vee")),
-    "index": (check_index_comparison, lambda n, r: range(0, n), SLACK_STRUCTURAL, ("mu", "lambda")),
-    "chain": (check_proof_chain, lambda n, r: range(1, n + 1), None, tuple(PROFILES)),
-    "dual-minima": (dual_minima_comparison, lambda n, r: range(1, n + 1), SLACK_ANALYTIC,
-                    ("mu_star", "mu_vee")),
+    "sandwich": (check_sandwich, lambda n, r: range(1, n + 1), ("mu", "mu_star")),
+    "polar": (check_polar_transference, lambda n, r: range(1, n * r + 1), ("lambda", "lambda_vee")),
+    "index": (check_index_comparison, lambda n, r: range(0, n), ("mu", "lambda")),
+    "chain": (check_proof_chain, lambda n, r: range(1, n + 1), tuple(PROFILES)),
 }
-# check_all's statements: every declared one but the dual-minima comparison
-STATEMENTS = {name: entry for name, entry in DECLARED.items() if name != "dual-minima"}
 
 
 def check_all(bundle: HermitianBundle, budget: int = DEFAULT_BUDGET) -> list[TheoremReport]:
-    """Run every checker of ``STATEMENTS`` at every valid index for one bundle."""
-    ctx = BundleChecks(bundle, budget, STATEMENTS)
+    """Run every checker of ``DECLARED`` at every valid index for one bundle."""
+    ctx = BundleChecks(bundle, budget)
     n, r = bundle.rank, bundle.nf.degree
-    return [check(ctx, k) for check, indices, *_ in STATEMENTS.values() for k in indices(n, r)]
+    return [check(ctx, k) for check, indices, _ in DECLARED.values() for k in indices(n, r)]
 
 
 def fuzz(

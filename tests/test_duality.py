@@ -14,7 +14,6 @@ from hermlat import (
     build_field,
     codifferent_covolume,
     different_lattice,
-    dual_minima_comparison,
     load_field,
     make_bundle,
     minkowski_codifferent_bound,
@@ -393,40 +392,3 @@ def test_field_vector_search_keeps_its_node_count(search):
     with pytest.raises(ValueError, match="budget must be at least 1"):
         search(nf, 0)
 
-
-def test_dual_minima_comparison_q_trivial(field_q):
-    rep = dual_minima_comparison(make_bundle(field_q, 1, [np.eye(1)]), 1)
-    assert rep.passed
-    assert rep.get("transfer_log_norm") == 0.0
-    assert rep.get("mu_dual_bundle") == rep.get("mu_trace_dual")
-
-
-def test_dual_minima_comparison_gaussian(field_qi):
-    rep = dual_minima_comparison(identity_bundle(field_qi), 1)
-    assert rep.passed and rep.verdict != "uncertified"
-    assert rep.get("mu_dual_bundle") <= rep.get("mu_trace_dual") + rep.get("transfer_log_norm") + 1e-9
-
-
-def test_dual_minima_comparison_diag(field_q):
-    rep = dual_minima_comparison(make_bundle(field_q, 2, [np.diag([4.0, 0.25])]), 1)
-    assert rep.passed
-    assert math.isclose(rep.get("mu_dual_bundle"), -math.log(2), abs_tol=1e-12)
-    assert math.isclose(rep.get("mu_trace_dual"), -math.log(2), abs_tol=1e-12)
-    assert rep.get("transfer_log_norm") == 0.0
-
-
-def test_dual_minima_random(field_sqrt2, field_sqrt_minus3):
-    from hermlat.transference import random_bundle
-
-    rng = np.random.default_rng(13)
-    for nf in (field_sqrt2, field_sqrt_minus3):
-        for _ in range(5):
-            b = random_bundle(nf, 2, rng)
-            for k in (1, 2):
-                rep = dual_minima_comparison(b, k)
-                assert rep.passed, rep
-
-
-def test_dual_minima_k_range(field_q):
-    with pytest.raises(ValueError):
-        dual_minima_comparison(make_bundle(field_q, 1, [np.eye(1)]), 2)

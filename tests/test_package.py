@@ -51,7 +51,7 @@ EXPORTS = {
     "transference": (
         "BundleChecks", "TheoremReport", "bundle_digest", "check_all",
         "check_polar_transference", "check_index_comparison", "check_proof_chain",
-        "check_sandwich", "dual_minima_comparison", "fuzz", "random_bundle",
+        "check_sandwich", "fuzz", "random_bundle",
     ),
 }
 

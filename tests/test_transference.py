@@ -16,7 +16,6 @@ from hermlat import (
     check_minima_slope_bound,
     check_sandwich,
     check_slope_duality,
-    dual_minima_comparison,
     duality_gap_constant,
     fuzz,
     load_bundle,
@@ -101,11 +100,11 @@ def test_index_comparison_r1_and_edge(field_q, field_qi, field_sqrt2):
 @pytest.mark.parametrize("field", ["q", "gaussian"])
 @pytest.mark.parametrize("name", list(DECLARED))
 def test_declared_k_range(name, field, n, all_fields):
-    # the paper's ranges: sandwich, chain and dual minima 1 <= k <= N,
+    # the paper's ranges: sandwich and chain 1 <= k <= N,
     # polar transference 1 <= k <= Nr, index comparison 0 <= k <= N-1
     nf = all_fields[field]
     lo, hi = {"polar": (1, n * nf.degree), "index": (0, n - 1)}.get(name, (1, n))
-    check, indices, _, _ = DECLARED[name]
+    check, indices, _ = DECLARED[name]
     assert indices(n, nf.degree) == range(lo, hi + 1)
     ctx = BundleChecks(identity_bundle(nf, rank=n))
     for k in (lo, hi):
@@ -119,7 +118,7 @@ def test_declared_k_range(name, field, n, all_fields):
 def test_reads_names_the_profiles_each_checker_reads(name, field_zeta5):
     # the reads of DECLARED decide whether lambda is computed before mu, so
     # they must name exactly what each checker reads
-    check, indices, _, reads = DECLARED[name]
+    check, indices, reads = DECLARED[name]
     ctx = BundleChecks(random_bundle(field_zeta5, 2, np.random.default_rng(1)), statements=[name])
     check(ctx, indices(2, 4)[0])
     assert set(ctx._profiles) == set(reads)
@@ -134,7 +133,7 @@ def test_every_checker_renders_one_report_type(name):
     # the bundle digest, the slack and the verdict
     bundle = load_bundle(FIXDIR / "bundle_diag_4_quarter.json")
     if name in DECLARED:
-        check, indices, _, _ = DECLARED[name]
+        check, indices, _ = DECLARED[name]
         rep = check(bundle, indices(bundle.rank, bundle.nf.degree)[0])
     else:
         rep = SLOPE_CHECKERS[name](as_diagonal(bundle), 1)
@@ -189,6 +188,49 @@ def test_proof_chain_random(field_sqrt2, field_sqrt_minus3):
             ]
 
 
+def _random_l2_inputs(fields):
+    rng = np.random.default_rng(13)
+    bundles = [random_bundle(fields[name], 2, rng) for name in ("sqrt2", "sqrt_minus3") for _ in range(5)]
+    return [(b, k) for b in bundles for k in (1, 2)]
+
+
+# (bundle, k) inputs of link L2 of chain[N+1-k], mu_k(E*) <= mu_k(E^v_w) + log|v|,
+# and what else each case asserts on the chain report; None: k is out of range
+L2_CASES = {
+    "q-trivial": (
+        lambda fields: [(make_bundle(fields["q"], 1, [np.eye(1)]), 1)],
+        lambda rep: rep.get("transfer_log_norm") == 0.0
+        and rep.get("mu_star_N+1-k") == rep.get("mu_vee_N+1-k"),
+    ),
+    "gaussian-identity": (lambda fields: [(identity_bundle(fields["gaussian"]), 1)], lambda rep: True),
+    "q-diag": (
+        lambda fields: [(make_bundle(fields["q"], 2, [np.diag([4.0, 0.25])]), 1)],
+        lambda rep: math.isclose(rep.get("mu_star_N+1-k"), -math.log(2), abs_tol=1e-12)
+        and math.isclose(rep.get("mu_vee_N+1-k"), -math.log(2), abs_tol=1e-12)
+        and rep.get("transfer_log_norm") == 0.0,
+    ),
+    "random-sqrt2-sqrt_minus3": (_random_l2_inputs, lambda rep: True),
+    "k-range": (lambda fields: [(make_bundle(fields["q"], 1, [np.eye(1)]), 2)], None),
+}
+
+
+@pytest.mark.parametrize("case", list(L2_CASES))
+def test_chain_dual_transfer_link(case, all_fields):
+    inputs, also = L2_CASES[case]
+    for bundle, k in inputs(all_fields):
+        if also is None:
+            with pytest.raises(ValueError):
+                check_proof_chain(bundle, bundle.rank + 1 - k)
+            continue
+        rep = check_proof_chain(bundle, bundle.rank + 1 - k)
+        (l2,) = [l for l in rep.links if ".L2." in l.statement]
+        assert l2.verdict == "pass", (k, l2.quantities)
+        assert l2.get("lhs") == rep.get("mu_star_N+1-k")
+        assert l2.get("rhs") == rep.get("mu_vee_N+1-k") + rep.get("transfer_log_norm")
+        assert l2.get("lhs") <= l2.get("rhs") + 1e-9
+        assert also(rep), rep.quantities
+
+
 def test_dual_transfer_over_a_non_cm_cubic():
     # Q(x^3+x-1): disc -31, one real and one complex place, and complex
     # conjugation is not an automorphism.  The dual bundle's Gram is the
@@ -224,23 +266,22 @@ def test_exhausted_field_searches_are_uncertified():
     assert check_sandwich(ctx, 1).verdict == "pass"
     chain = check_proof_chain(ctx, 1)
     assert chain.verdict == "uncertified" and math.isnan(chain.get("transfer_log_norm"))
-    dual = dual_minima_comparison(ctx, 1)
-    assert dual.verdict == "uncertified"
-    assert math.isnan(dual.get("transfer_log_norm")) and math.isnan(dual.get("minkowski_log_norm"))
+    # the links that read the transfer vector are uncertified with it
+    links = {l.statement.split(".")[1]: l for l in chain.links}
+    assert links["L2"].verdict == links["L3"].verdict == "uncertified"
+    assert math.isnan(links["L2"].get("rhs")) and math.isnan(links["L3"].get("lhs"))
 
 
-def test_dual_minima_verdict_ignores_the_minkowski_search(field_zeta5, monkeypatch):
-    # the inequality reads mu_star, mu_vee and the transfer vector; the
-    # Minkowski vector is only reported alongside
-    from hermlat import transference
-    from hermlat.minima import BudgetExhausted
-
-    def exhausted(nf, budget):
-        raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
-
-    monkeypatch.setattr(transference, "minkowski_codifferent_vector", exhausted)
-    dual = dual_minima_comparison(random_bundle(field_zeta5, 2, np.random.default_rng(1)), 1)
-    assert dual.verdict == "pass" and math.isnan(dual.get("minkowski_log_norm"))
+def test_chain_links_are_certified_by_what_they_read(field_sqrt2):
+    # at 30 nodes the lambda and lambda_vee searches exhaust the budget while
+    # mu, mu_star, mu_vee and the transfer vector certify: the links that read
+    # no lambda keep their verdicts, and the chain stays uncertified
+    ctx = BundleChecks(random_bundle(field_sqrt2, 2, np.random.default_rng(1)), budget=30)
+    for k in (1, 2):
+        chain = check_proof_chain(ctx, k)
+        verdicts = [l.verdict for l in chain.links]  # L1, ..., L6, assembled
+        assert verdicts == ["uncertified", "pass", "pass", *["uncertified"] * 3, "pass"], chain.links
+        assert chain.verdict == "uncertified"
 
 
 def test_check_all_counts(field_qi):
