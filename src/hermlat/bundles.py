@@ -209,17 +209,11 @@ class NormedLattice:
     forms: np.ndarray  # (r, N*r, N*r)
     euclid_gram: np.ndarray
     witness: Callable[[tuple[int, ...]], object]
-    # what the minima engine derives from the forms alone (the reduced
-    # basis, the searched balls), built on first use by ``memoized`` and
-    # keyed by the array each entry is derived from (see
-    # ``hermlat.minima``), so any lattices of one field may share one
+    # read and written by ``hermlat.minima`` alone: the reduced basis, the
+    # completed balls and the searches that ran out of budget, each keyed
+    # by all the inputs it is derived from, so any lattices of one field
+    # may share one
     memo: dict = field(default_factory=dict, kw_only=True, repr=False, compare=False)
-
-    def memoized(self, key, build):
-        """``build()``, computed once per memo and kept in ``memo`` under ``key``."""
-        if key not in self.memo:
-            self.memo[key] = build()
-        return self.memo[key]
 
     @property
     def z_rank(self) -> int:

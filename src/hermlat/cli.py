@@ -40,6 +40,8 @@ EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNCERTIFIED = 3
+# the ranks N of the duality-gap constant table that ``field`` prints
+GAP_TABLE_N = range(1, 17)
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -56,7 +58,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("field", help="inspect a field fixture")
     common(sp, "field fixture path")
-    sp.add_argument("--cn-max", type=int, default=16, help="largest N in the duality-gap constant table")
 
     sp = sub.add_parser("minima", help="successive minima of a bundle fixture")
     common(sp, "bundle fixture path")
@@ -118,8 +119,6 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_field(args) -> int:
-    if args.cn_max < 1:
-        raise ValueError(f"--cn-max must be at least 1, got {args.cn_max}")
     nf = load_field(args.fixture)
     tm = trace_module(nf)
     header = render_header(
@@ -148,7 +147,7 @@ def _cmd_field(args) -> int:
     doc.append(f"minkowski_sup_log_norm: {fmt(lg)}")
     doc.append(f"minkowski_bound: {fmt(minkowski_codifferent_bound(nf))}")
     table = ["gap_table: N gap_constant(N, field)"]
-    for n in range(1, args.cn_max + 1):
+    for n in GAP_TABLE_N:
         table.append(f"gap: {n} {fmt(duality_gap_constant(n, nf))}")
     _emit(render_documents(header, [doc, table]), args.out)
     return EXIT_PASS

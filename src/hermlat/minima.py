@@ -31,13 +31,13 @@ it
    ``_SCALAR_NODES`` children from the root with Python floats on lists,
    by the same float expressions, term for term: the vectors, their order
    and the node count are the same bits whichever path expands a
-   frontier.  The reduction and the searched balls are memoized in the
-   lattice's memo, each entry keyed by the array it is derived from: T by
-   the Euclidean Gram scaled to a fixed binary exponent (see
-   ``_reduce``), T^T G T by the Gram, the place factors by the forms, and
-   the balls by the forms, one per norm and budget, the largest
-   completed; any smaller radius of that norm and budget is answered by a
-   prefix of it (``mu``'s ball lies inside ``lambda``'s).
+   frontier.  This module alone reads and writes the lattice's memo, and
+   keeps in it only what an entry's key fully determines: T, keyed by the
+   Euclidean Gram scaled to a fixed binary exponent (see ``_reduce``); per
+   forms, norm and budget, the largest completed ball, whose prefix
+   answers any smaller radius (``mu``'s ball lies inside ``lambda``'s);
+   and each search that ran out of budget, keyed also by its exact
+   radius.  T^T G T and the place factors are recomputed by each search.
    These keys alone decide what lattices that share a memo dict share;
 4. maps the candidates back through T, puts their signs in the original
    coordinates (highest nonzero coordinate positive) and norms each of
@@ -514,24 +514,20 @@ def _radius_sq_factor(lattice: NormedLattice, norm: Norm) -> float:
 
 def _place_factors(lattice: NormedLattice) -> np.ndarray:
     """The factors m_p R_p of the sum norm's places in the reduced basis T
-    that ``enumerate_ellipsoid`` tests, memoized by the forms.
+    that ``enumerate_ellipsoid`` tests.
 
     R_p is upper triangular with R_p^T R_p = T^T F T for the form F of
     place p.  F is only semidefinite, so Cholesky does not apply: with
     T^T F T = V diag(w) V^T (negative rounding in w set to 0), the R of
     the QR decomposition of diag(sqrt w) V^T is such a factor.
     """
-
-    def build():
-        places = lattice.places
-        t = _reduce(lattice)[0]
-        forms = t.T @ lattice.forms[[s for s, _ in places]] @ t
-        w, v = np.linalg.eigh((forms + forms.transpose(0, 2, 1)) / 2)
-        weights = np.array([m for _, m in places])[:, None]
-        roots = (weights * np.sqrt(np.maximum(w, 0.0)))[:, :, None]
-        return np.linalg.qr(roots * v.transpose(0, 2, 1), mode="r")
-
-    return lattice.memoized(("place_factors", lattice.forms.tobytes()), build)
+    places = lattice.places
+    t = _reduce(lattice)
+    forms = t.T @ lattice.forms[[s for s, _ in places]] @ t
+    w, v = np.linalg.eigh((forms + forms.transpose(0, 2, 1)) / 2)
+    weights = np.array([m for _, m in places])[:, None]
+    roots = (weights * np.sqrt(np.maximum(w, 0.0)))[:, :, None]
+    return np.linalg.qr(roots * v.transpose(0, 2, 1), mode="r")
 
 
 def _expected_points(gram: np.ndarray, radius_sq: float) -> float:
@@ -546,27 +542,23 @@ def _expected_points(gram: np.ndarray, radius_sq: float) -> float:
         return math.inf
 
 
-def _reduce(lattice: NormedLattice) -> tuple[np.ndarray, np.ndarray]:
-    """An LLL-reduced basis T of the lattice and its Euclidean Gram T^T G T,
-    memoized by the Gram G.
+def _reduce(lattice: NormedLattice) -> np.ndarray:
+    """An LLL-reduced basis T of the lattice, memoized by its Euclidean Gram
+    G scaled to a fixed binary exponent.
 
-    T itself is memoized by G scaled to a fixed binary exponent, so Grams
-    that are exact power-of-two multiples of each other share it.  Such a
-    factor scales every float ``lll_transform`` computes from the Gram (its
-    entries and the squared lengths B_k) exactly and leaves the mu_kj
-    unchanged, so every rounding, swap and T would come out bit for bit the
-    same.  Over a totally complex field the weighted trace dual is 4 times
-    the trace dual.
+    Grams that are exact power-of-two multiples of each other thus share
+    T.  Such a factor scales every float ``lll_transform`` computes from
+    the Gram (its entries and the squared lengths B_k) exactly and leaves
+    the mu_kj unchanged, so every rounding, swap and T would come out bit
+    for bit the same.  Over a totally complex field the weighted trace
+    dual is 4 times the trace dual.
     """
     g = lattice.euclid_gram
-
-    def build():
-        scaled = np.ldexp(g, -math.frexp(g[0, 0])[1])
-        t = lattice.memoized(("lll", scaled.tobytes()), lambda: lll_transform(g))
-        gram = t.T @ g @ t
-        return t, (gram + gram.T) / 2
-
-    return lattice.memoized(("reduced", g.tobytes()), build)
+    key = ("lll", np.ldexp(g, -math.frexp(g[0, 0])[1]).tobytes())
+    t = lattice.memo.get(key)
+    if t is None:
+        t = lattice.memo[key] = lll_transform(g)
+    return t
 
 
 def check_budget(budget: int) -> None:
@@ -596,27 +588,29 @@ def _ball(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_Ba
     """The searched ball that holds the ball of radius ``bound``.
 
     The lattice's memo keeps, per forms, norm and budget, the largest ball
-    whose search completed and the smallest radius whose search ran out of
-    budget.  A search's node count grows with its radius, so a radius at
-    or above an exhausted one is exhausted too, and a smaller one than a
-    completed ball's is answered by that ball.  Lattices with equal forms
-    that share one memo share their balls: over Q the dual-bundle and
-    trace-dual profiles search the same ones.
+    whose search completed, and a smaller radius than its own is answered
+    by that ball.  A search that ran out of budget is kept under the same
+    key and its exact radius, and only that search is answered by it: the
+    node count need not grow with the radius, since a larger sum-norm
+    radius can switch on the place test (``_PLACE_POINTS``) and take fewer
+    nodes.  Lattices with equal forms that share one memo share their
+    balls: over Q the dual-bundle and trace-dual profiles search the same
+    ones, at the same radius.
     """
     check_budget(budget)
     norm_key = norm if lattice.n_embeddings > 1 else "sup"  # one embedding: sup = sum
     key = (lattice.forms.tobytes(), norm_key, budget)
-    ball_key, exhausted_key = ("ball", *key), ("exhausted", *key)
+    ball_key, exhausted_key = ("ball", *key), ("exhausted", *key, bound)
     memo = lattice.memo
     ball = memo.get(ball_key)
     if ball is not None and bound <= ball.bound:
         return ball
-    if bound >= memo.get(exhausted_key, math.inf):
+    if exhausted_key in memo:
         raise BudgetExhausted(f"enumeration exceeded budget of {budget} nodes")
     try:
         ball = _search(lattice, norm, bound, budget)
     except BudgetExhausted:
-        memo[exhausted_key] = bound
+        memo[exhausted_key] = True
         raise
     memo[ball_key] = ball
     return ball
@@ -635,7 +629,9 @@ def _search(lattice: NormedLattice, norm: Norm, bound: float, budget: int) -> "_
     multiples of equal norm do not depend on which candidates share a call.
     """
     limit = bound * (1 + TOL)
-    t, reduced_gram = _reduce(lattice)
+    t, g = _reduce(lattice), lattice.euclid_gram
+    reduced_gram = t.T @ g @ t
+    reduced_gram = (reduced_gram + reduced_gram.T) / 2
     radius_sq = _radius_sq_factor(lattice, norm) * limit * limit
     places = None
     if (
@@ -790,7 +786,7 @@ def successive_minima(
     if not 1 <= count <= max_k:
         raise ValueError(f"k must be between 1 and {max_k} for mode {mode}")
 
-    basis_norms = np.sort(aggregate(lattice.exact_norms(_reduce(lattice)[0].T), norm))
+    basis_norms = np.sort(aggregate(lattice.exact_norms(_reduce(lattice).T), norm))
     index = count - 1 if mode == "q-rank" else (count - 1) * lattice.n_embeddings
     bound = float(basis_norms[index])
     try:

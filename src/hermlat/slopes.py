@@ -31,7 +31,7 @@ import numpy as np
 from .bundles import BundleError, HermitianBundle, make_bundle, restrict_scalars
 from .minima import DEFAULT_BUDGET, successive_minima
 from .numberfield import NumberField
-from .transference import TheoremReport, _verdict, bundle_digest
+from .transference import TheoremReport, _value, _verdict, bundle_digest
 
 # how far mu_k + sigma_k may fall below 0, and sigma_k + sigma_(N+1-k) of
 # the dual may stray from 0, before the slope checks fail
@@ -127,7 +127,7 @@ def check_minima_slope_bound(diag: DiagonalBundle, k: int, budget: int = DEFAULT
     if not 1 <= k <= diag.rank:
         raise ValueError("k out of range")
     prof = successive_minima(restrict_scalars(diag.bundle), k, "f-rank", "sup", budget)
-    mu_k = prof.values[k - 1] if prof.certified else math.nan
+    mu_k = _value(prof, k - 1)
     sigma_k = diagonal_slopes(diag).slopes[k - 1]
     total = mu_k + sigma_k
     return TheoremReport(

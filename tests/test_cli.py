@@ -28,8 +28,8 @@ def run_cli(argv):
 
 
 GOLDEN_CASES = {
-    "field_gaussian.txt": ["field", "--fixture", str(FIXDIR / "field_gaussian.json"), "--cn-max", "16"],
-    "field_q.txt": ["field", "--fixture", str(FIXDIR / "field_q.json"), "--cn-max", "16"],
+    "field_gaussian.txt": ["field", "--fixture", str(FIXDIR / "field_gaussian.json")],
+    "field_q.txt": ["field", "--fixture", str(FIXDIR / "field_q.json")],
     "minima_diag.txt": ["minima", "--fixture", str(FIXDIR / "bundle_diag_4_quarter.json"), "--k", "2"],
     "minima_gaussian_rank2_seed42.txt": [
         "minima", "--fixture", str(FIXDIR / "bundle_gaussian_rank2_seed42.json"),
@@ -196,11 +196,14 @@ def test_every_shipped_fixture_loads():
                      id="check-slack"),
         pytest.param("check_gaussian_rank1.txt", ["--statement", "dual-minima"],
                      "argument --statement: invalid choice: 'dual-minima'", id="check-dual-minima"),
+        pytest.param("field_q.txt", ["--cn-max", "16"], "unrecognized arguments: --cn-max 16",
+                     id="field-cn-max"),
     ],
 )
 def test_precision_is_not_an_option(name, extra, message):
     # build_field picks the precision that certifies the roots, each statement
-    # uses its own slack, and the dual-minima comparison is the chain's link L2
+    # uses its own slack, the dual-minima comparison is the chain's link L2,
+    # and the gap table always has the 16 rows N = 1..16
     code, out, err = run_cli([*GOLDEN_CASES[name], *extra])
     assert code == 1 and out == ""
     assert message in err.splitlines()[-1]
@@ -266,15 +269,6 @@ def test_fuzz_arguments_validated(flag, message):
     assert code == 1
     assert out == ""
     assert message in err
-
-
-@pytest.mark.parametrize("cn_max", ["0", "-3"])
-def test_field_cn_max_below_one_is_a_usage_error(cn_max):
-    # the duality-gap constant needs N >= 1, so an empty table is refused
-    code, out, err = run_cli(["field", "--fixture", str(FIXDIR / "field_q.json"), f"--cn-max={cn_max}"])
-    assert code == 1
-    assert out == ""
-    assert f"--cn-max must be at least 1, got {cn_max}" in err
 
 
 FUZZ_Q = ["fuzz", "--trials", "1", "--fields"]

@@ -1151,7 +1151,7 @@ def test_search_post_processes_candidates_in_place(monkeypatch):
     from hermlat.transference import random_bundle
 
     lat = restrict_scalars(random_bundle(shipped_field("zeta5"), 2, np.random.default_rng(1)))
-    bound = 2.2 * minima.aggregate(lat.exact_norms(minima._reduce(lat)[0].T), "sup").max()
+    bound = 2.2 * minima.aggregate(lat.exact_norms(minima._reduce(lat).T), "sup").max()
     enumerate_whole, seen = minima.enumerate_ellipsoid, {}
 
     def enumerate_then_reset(*args):
@@ -1248,8 +1248,22 @@ def count_engine_calls(monkeypatch) -> list:
     return calls
 
 
-def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_minus3, field_zeta5):
+def captured_contexts(monkeypatch) -> list:
+    """The ``BundleChecks`` contexts that ``check_all`` creates from now on."""
     from hermlat import transference
+
+    contexts = []
+
+    class Captured(transference.BundleChecks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(transference, "BundleChecks", Captured)
+    return contexts
+
+
+def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_minus3, field_zeta5):
     from hermlat.duality import transfer_vector
     from hermlat.transference import BundleChecks, check_all, random_bundle
 
@@ -1266,14 +1280,7 @@ def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_mi
     # over zeta5, check_all reduces the weighted trace dual with the trace
     # dual's T (its forms are 4 times theirs), and mu reads a prefix of
     # lambda's ball: 3 reductions and 4 searches for 4 lattices and 5 profiles
-    contexts = []
-
-    class Captured(BundleChecks):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            contexts.append(self)
-
-    monkeypatch.setattr(transference, "BundleChecks", Captured)
+    contexts = captured_contexts(monkeypatch)
     bundle = random_bundle(field_zeta5, 2, np.random.default_rng(1))
     transfer_vector(field_zeta5)  # the field's own search, memoized before counting
     calls.clear()
@@ -1293,8 +1300,8 @@ def test_each_ball_enumerated_once(monkeypatch, field_q, field_qi, field_sqrt_mi
         weighted = ctx.weighted
         assert weighted.memo is ctx.tdual.memo
         assert np.array_equal(weighted.euclid_gram, 4 * ctx.tdual.euclid_gram)
-        t = minima._reduce(weighted)[0]
-        assert t is minima._reduce(ctx.tdual)[0]
+        t = minima._reduce(weighted)
+        assert t is minima._reduce(ctx.tdual)
         assert np.array_equal(t, lll_transform(weighted.euclid_gram))
 
 
@@ -1328,6 +1335,48 @@ def test_check_all_shares_by_content(monkeypatch, name, reductions, searches):
             reductions, searches)
 
 
+def test_exhausted_search_answers_only_its_own_radius(field_zeta5):
+    # a larger sum-norm radius can switch on the place test and need fewer
+    # nodes: under 3,000 nodes the unpruned search of the first minimum runs
+    # out, while the pruned one of the first four, at a larger radius, ends
+    from hermlat.transference import random_bundle
+
+    bundle = random_bundle(field_zeta5, 3, np.random.default_rng(2))
+    lat = trace_dual(bundle)
+    first = successive_minima(lat, 1, "q-rank", "sum", 3000)
+    assert not first.certified and first.nodes == 3000
+    for fresh in (lat, trace_dual(bundle)):
+        prof = successive_minima(fresh, 4, "q-rank", "sum", 3000)
+        assert prof.certified and prof.nodes == 2778
+        assert prof.radius_used > first.radius_used
+
+
+@pytest.mark.parametrize(
+    "names,rank,budget",
+    [(("q", "gaussian", "sqrt2", "zeta5"), 2, DEFAULT_BUDGET), (("zeta5",), 3, 30)],
+    ids=["default", "starved"],
+)
+def test_memo_holds_what_its_keys_determine(monkeypatch, names, rank, budget):
+    # the memo keeps T, the completed balls, and each search that ran out of
+    # budget under its own exact radius, nothing derived from them
+    from hermlat.transference import PROFILES, check_all, random_bundle
+
+    contexts = captured_contexts(monkeypatch)
+    for name in names:
+        check_all(random_bundle(shipped_field(name), rank, np.random.default_rng(1)), budget)
+    assert len(contexts) == len(names)
+    for ctx in contexts:
+        memo = ctx.primal.memo
+        kinds = {key[0] for key in memo}
+        exhausted = {key for key in memo if key[0] == "exhausted"}
+        starved = [ctx.profile(key) for key in PROFILES if not ctx.profile(key).certified]
+        if budget == DEFAULT_BUDGET:
+            assert kinds == {"lll", "ball"}
+        else:
+            assert kinds == {"lll", "exhausted"} and starved
+        assert {key[-2:] for key in exhausted} == {(budget, p.radius_used) for p in starved}
+
+
 def eager_ball(lat, norm, bound):
     """The ball of radius ``bound`` built eagerly: every candidate of the
     ellipsoid the engine searches, normed by ``sigma_norms``, kept within
@@ -1351,7 +1400,7 @@ def eager_ball(lat, norm, bound):
     [("gaussian", 8, ("lambda_vee",)), ("zeta5", 2, None), ("zeta5", 3, None),
      ("sqrt2", 2, None), ("q", 3, None)],
 )
-def test_lazy_order_matches_eager_reference(name, rank, keys):
+def test_ball_order_matches_eager_reference(name, rank, keys):
     # unit multiples (i x over Q(i), zeta x over Q(zeta5)) have equal norms,
     # so these balls are full of ties that only z orders
     from hermlat import shipped_field
@@ -1379,7 +1428,7 @@ def test_lazy_order_matches_eager_reference(name, rank, keys):
             assert ball == [z for _, z in ref]
 
 
-def test_lazy_ball_norms_only_what_is_read(field_zeta5):
+def test_smaller_radius_reads_a_prefix_of_the_ball(field_zeta5):
     from hermlat.transference import random_bundle
 
     lat = restrict_scalars(random_bundle(field_zeta5, 3, np.random.default_rng(1)))
@@ -1391,7 +1440,7 @@ def test_lazy_ball_norms_only_what_is_read(field_zeta5):
     assert minima._ball(lat, "sup", mu.radius_used, DEFAULT_BUDGET) is ball
 
 
-def test_lazy_ball_concurrent_readers(field_qi):
+def test_ball_concurrent_readers(field_qi):
     import sys
     import threading
 
@@ -1401,7 +1450,7 @@ def test_lazy_ball_concurrent_readers(field_qi):
     bound = successive_minima(trace_dual(bundle), 16, "q-rank", "sum").radius_used
     expected = [v.z_coords for v in enumerate_below(trace_dual(bundle), "sum", bound)]
     lat = trace_dual(bundle)
-    minima._ball(lat, "sum", bound, DEFAULT_BUDGET)  # searched, nothing normed yet
+    minima._ball(lat, "sum", bound, DEFAULT_BUDGET)  # searched and normed in full before any read
     start = threading.Barrier(8)
     results = []
 
